@@ -17,8 +17,6 @@ from .maacore import (
     SEGMENT_BLOCKS,
     mac_blocks,
     mac_message,
-    mac_stream_new,
-    mac_stream_push,
     message_blocks,
 )
 from .nativecore import native_mac
@@ -36,8 +34,6 @@ __all__ = [
     "SEGMENT_BLOCKS",
     "mac_blocks",
     "mac_message",
-    "mac_stream_new",
-    "mac_stream_push",
     "message_blocks",
     "native_mac",
     "run_suite",

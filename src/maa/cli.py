@@ -13,7 +13,7 @@ import time
 from . import kat, nativecore
 from .maacore import (
     EmptyMessageError, Key, MacStream, MessageLimitError,
-    mac_message, message_blocks, prelude,
+    mac_blocks, mac_message, message_blocks, prelude,
 )
 from .wordcore import Block
 
@@ -70,9 +70,9 @@ def cmd_trace(args):
     payload = _read_payload(args)
     try:
         blocks = message_blocks(payload)
-    except (EmptyMessageError, MessageLimitError) as e:
+    except EmptyMessageError as e:
         raise _UsageError(str(e))
-    pre, _ = prelude(key)
+    pre = prelude(key)
     print(f"key    J={key.J.hex()} K={key.K.hex()}")
     print(f"X0={pre.X0.hex()} Y0={pre.Y0.hex()} V0={pre.V0.hex()} "
           f"W={pre.W.hex()} S={pre.S.hex()} T={pre.T.hex()}")
@@ -243,10 +243,7 @@ def cmd_bench(args):
     blocks = [Block.from_int(v) for v in values]
 
     t0 = time.perf_counter()
-    stream = MacStream(key, limit=args.blocks)
-    for b in blocks:
-        stream.push(b)
-    z_gate = stream.mac()
+    z_gate = mac_blocks(key, blocks, limit=args.blocks)
     t_gate = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -273,29 +270,25 @@ def _build_parser():
                     "gate-level core and a native-integer core.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mac", help="MAC a message")
-    p.add_argument("--key", required=True, metavar="HEX16",
-                   help="64-bit key as 16 hex digits, J first then K")
-    g = p.add_mutually_exclusive_group(required=True)
+    keyed = argparse.ArgumentParser(add_help=False)
+    keyed.add_argument("--key", required=True, metavar="HEX16",
+                       help="64-bit key as 16 hex digits, J first then K")
+    g = keyed.add_mutually_exclusive_group(required=True)
     g.add_argument("--input", metavar="PATH", help="message file")
     g.add_argument("--hex", dest="hex_data", metavar="HEX",
                    help="message as hex digits")
+
+    p = sub.add_parser("mac", parents=[keyed], help="MAC a message")
     p.set_defaults(func=cmd_mac)
 
-    p = sub.add_parser("trace", help="MAC a message, printing X, Y, V "
-                                     "and the running Z per block")
-    p.add_argument("--key", required=True, metavar="HEX16",
-                   help="64-bit key as 16 hex digits, J first then K")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--input", metavar="PATH", help="message file")
-    g.add_argument("--hex", dest="hex_data", metavar="HEX",
-                   help="message as hex digits")
+    p = sub.add_parser("trace", parents=[keyed],
+                       help="MAC a message, printing X, Y, V "
+                            "and the running Z per block")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("selftest", help="run the known-answer corpus")
     p.add_argument("--suite", choices=sorted(_SUITE_FLAGS), default="all")
-    p.add_argument("--core", choices=("gate", "native", "both"),
-                   default="both")
+    p.add_argument("--core", choices=kat.CORES, default="both")
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("scenario", help="run a register-check script")

@@ -7,6 +7,11 @@ single published table row may unfold into several checks here.  The
 runner executes a record on the gate-level core, the native-word core,
 or both, and compares every requested output.
 
+One runner serves every core through nativecore's int signatures: the
+native adapter is the nativecore module itself, and the gate adapter
+converts ints to Blocks and back.  A new core is one more adapter in
+_CORES, and `maa selftest --core` lists it.
+
 Suites:
 
   T1       multiplications, PAT/BYT conditioning, key expansion chain
@@ -21,16 +26,11 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from . import maaops, nativecore
-from .maacore import Key, LoopMasks, SEGMENT_BLOCKS, main_loop
-from .maacore import loop_trace as gate_loop_trace
-from .maacore import mac_blocks as gate_mac_blocks
-from .maacore import power_chain as gate_power_chain
-from .maacore import prelude as gate_prelude
-from .wordcore import Block, Octet, xor_block
+from . import maacore, maaops, nativecore
+from .maacore import SEGMENT_BLOCKS
+from .wordcore import Block, Octet
 
 SUITES = ("T1", "T2", "T3", "T4", "ANNEX_E", "LONG")
-CORES = ("gate", "native", "both")
 
 # Row counts of the published tables.  Where the corpus splits a row
 # into one check per value the totals drift apart; run_suite notes the
@@ -46,6 +46,12 @@ _CHAIN_FIELDS = (
 
 _TRACE_KEYS = ("vp", "e", "x", "y", "f", "g", "fp", "gp", "fpp", "gpp",
                "xp", "yp", "z")
+
+_PRELUDE_KEYS = ("x0", "y0", "v0", "w", "s", "t")
+
+# FULL_2BLOCK's names for the per-step registers that _chain records
+_TWO_BLOCK_KEYS = {"x": "x01", "y": "y01", "xp": "x02", "yp": "y02",
+                   "xpp": "cx1", "ypp": "cy1", "xppp": "cx2", "yppp": "cy2"}
 
 _REQUIRED_IN = {
     "MUL1": frozenset(("a", "b")),
@@ -254,139 +260,127 @@ def _progression(ins):
                        int(ins["count"]))
 
 
-def _gate_outs(rec):
-    ins = rec.inputs
-    B = Block.from_hex
-    op = rec.op
-    if op in ("MUL1", "MUL2", "MUL2A"):
-        fn = {"MUL1": maaops.mul1, "MUL2": maaops.mul2,
-              "MUL2A": maaops.mul2a}[op]
-        return {"w": fn(B(ins["a"]), B(ins["b"])).hex()}
-    if op == "PAT":
-        return {"p": maaops.pat(B(ins["a"]), B(ins["b"])).hex()}
-    if op == "BYT":
-        u, l = maaops.byt(B(ins["a"]), B(ins["b"]))
-        return {"u": u.hex(), "l": l.hex()}
-    if op == "PRELUDE_CHAIN":
-        p = Octet.from_hex(ins["p"])
-        im = gate_power_chain(B(ins["j1"]), B(ins["k1"]), p)
-        outs = {f.lower(): getattr(im, f).hex() for f in _CHAIN_FIELDS}
-        outs["qp"] = maaops.q(p).hex()
-        return outs
-    if op == "PRELUDE":
-        pre, _ = gate_prelude(Key.from_hex(ins["j"], ins["k"]))
-        return {"x0": pre.X0.hex(), "y0": pre.Y0.hex(), "v0": pre.V0.hex(),
-                "w": pre.W.hex(), "s": pre.S.hex(), "t": pre.T.hex()}
-    if op == "LOOP_TRACE":
-        masks = LoopMasks(B(ins["a"]), B(ins["c"]), B(ins["b"]), B(ins["d"]))
-        tr = gate_loop_trace(B(ins["x0"]), B(ins["y0"]), B(ins["v"]),
-                             B(ins["w"]), B(ins["m"]), masks)
-        return {k: getattr(tr, k.capitalize()).hex() for k in _TRACE_KEYS}
-    if op == "FULL_2BLOCK":
-        key = Key.from_hex(ins["j"], ins["k"])
-        pre, _ = gate_prelude(key)
-        outs = {"p": maaops.pat(key.J, key.K).hex(),
-                "x0": pre.X0.hex(), "y0": pre.Y0.hex(), "v0": pre.V0.hex(),
-                "w": pre.W.hex(), "s": pre.S.hex(), "t": pre.T.hex()}
-        x, y, v = main_loop(pre.X0, pre.Y0, pre.V0, pre.W, B(ins["m1"]))
-        outs["x"], outs["y"] = x.hex(), y.hex()
-        x, y, v = main_loop(x, y, v, pre.W, B(ins["m2"]))
-        outs["xp"], outs["yp"] = x.hex(), y.hex()
-        x, y, v = main_loop(x, y, v, pre.W, pre.S)
-        outs["xpp"], outs["ypp"] = x.hex(), y.hex()
-        x, y, v = main_loop(x, y, v, pre.W, pre.T)
-        outs["xppp"], outs["yppp"] = x.hex(), y.hex()
-        outs["z"] = xor_block(x, y).hex()
-        return outs
-    if op == "CHAIN_TRACE":
-        key = Key.from_hex(ins["j"], ins["k"])
-        pre, _ = gate_prelude(key)
-        x, y, v = pre.X0, pre.Y0, pre.V0
-        outs = {}
-        for i, value in enumerate(_progression(ins), start=1):
-            x, y, v = main_loop(x, y, v, pre.W, Block.from_int(value))
-            outs[f"x{i:02d}"], outs[f"y{i:02d}"] = x.hex(), y.hex()
-        x, y, v = main_loop(x, y, v, pre.W, pre.S)
-        outs["cx1"], outs["cy1"] = x.hex(), y.hex()
-        x, y, v = main_loop(x, y, v, pre.W, pre.T)
-        outs["cx2"], outs["cy2"] = x.hex(), y.hex()
-        outs["z"] = xor_block(x, y).hex()
-        return outs
-    if op == "LONG_MAC":
-        key = Key.from_hex(ins["j"], ins["k"])
-        blocks = [Block.from_int(v) for v in _progression(ins)]
-        return {"z": gate_mac_blocks(key, blocks).hex()}
-    raise AssertionError(op)
+class _GateCore:
+    """The gate-level core behind nativecore's int signatures.
+
+    Ints become Blocks (and the PAT octet an Octet) on the way in;
+    results leave as their .value.  Each call looks the core function up
+    on its module, so whatever is bound there at call time runs.
+    """
+
+    def mul1(self, a, b):
+        return maaops.mul1(Block.from_int(a), Block.from_int(b)).value
+
+    def mul2(self, a, b):
+        return maaops.mul2(Block.from_int(a), Block.from_int(b)).value
+
+    def mul2a(self, a, b):
+        return maaops.mul2a(Block.from_int(a), Block.from_int(b)).value
+
+    def pat(self, a, b):
+        return maaops.pat(Block.from_int(a), Block.from_int(b)).value
+
+    def byt(self, a, b):
+        u, l = maaops.byt(Block.from_int(a), Block.from_int(b))
+        return u.value, l.value
+
+    def q(self, p):
+        return maaops.q(Octet.from_int(p)).value
+
+    def power_chain(self, j1, k1, p):
+        im = maacore.power_chain(Block.from_int(j1), Block.from_int(k1),
+                                 Octet.from_int(p))
+        return {name: word.value for name, word in im.items()}
+
+    def prelude(self, j, k):
+        pre = maacore.prelude(maacore.Key(Block.from_int(j),
+                                          Block.from_int(k)))
+        return (pre.X0.value, pre.Y0.value, pre.V0.value, pre.W.value,
+                pre.S.value, pre.T.value)
+
+    def main_loop(self, x, y, v, w, block):
+        regs = maacore.main_loop(*map(Block.from_int, (x, y, v, w, block)))
+        return tuple(r.value for r in regs)
+
+    def loop_trace(self, x, y, v, w, block, masks):
+        tr = maacore.loop_trace(
+            *map(Block.from_int, (x, y, v, w, block)),
+            maacore.LoopMasks(*map(Block.from_int, masks)))
+        return {name: word.value for name, word in tr.items()}
+
+    def mac_values(self, j, k, values):
+        key = maacore.Key(Block.from_int(j), Block.from_int(k))
+        blocks = [Block.from_int(v) for v in values]
+        return maacore.mac_blocks(key, blocks).value
 
 
-def _native_outs(rec):
+_CORES = {"gate": _GateCore(), "native": nativecore}
+CORES = (*_CORES, "both")
+
+
+def _chain(core, j, k, blocks):
+    """Prelude once, then the main loop over blocks, S and T.
+
+    Returns the prelude words, X and Y after every step (x01, y01, ...
+    for the blocks, cx1/cy1 and cx2/cy2 for S and T) and the MAC z.
+    """
+    pre = core.prelude(j, k)
+    outs = dict(zip(_PRELUDE_KEYS, pre))
+    x, y, v, w, s, t = pre
+    for i, m in enumerate(blocks, start=1):
+        x, y, v = core.main_loop(x, y, v, w, m)
+        outs[f"x{i:02d}"], outs[f"y{i:02d}"] = x, y
+    x, y, v = core.main_loop(x, y, v, w, s)
+    outs["cx1"], outs["cy1"] = x, y
+    x, y, v = core.main_loop(x, y, v, w, t)
+    outs["cx2"], outs["cy2"] = x, y
+    outs["z"] = x ^ y
+    return outs
+
+
+def _outs(rec, core):
+    """Every output the record's op yields on one core adapter, as ints."""
     ins = rec.inputs
     hx = lambda name: int(ins[name], 16)
-    word = "{:08X}".format
     op = rec.op
     if op in ("MUL1", "MUL2", "MUL2A"):
-        fn = {"MUL1": nativecore.mul1, "MUL2": nativecore.mul2,
-              "MUL2A": nativecore.mul2a}[op]
-        return {"w": word(fn(hx("a"), hx("b")))}
+        return {"w": getattr(core, op.lower())(hx("a"), hx("b"))}
     if op == "PAT":
-        return {"p": "{:02X}".format(nativecore.pat(hx("a"), hx("b")))}
+        return {"p": core.pat(hx("a"), hx("b"))}
     if op == "BYT":
-        u, l = nativecore.byt(hx("a"), hx("b"))
-        return {"u": word(u), "l": word(l)}
+        u, l = core.byt(hx("a"), hx("b"))
+        return {"u": u, "l": l}
     if op == "PRELUDE_CHAIN":
-        p = hx("p")
-        im = nativecore.power_chain(hx("j1"), hx("k1"), p)
-        outs = {f.lower(): word(im[f]) for f in _CHAIN_FIELDS}
-        outs["qp"] = word(nativecore.q(p))
+        im = core.power_chain(hx("j1"), hx("k1"), hx("p"))
+        outs = {f.lower(): im[f] for f in _CHAIN_FIELDS}
+        outs["qp"] = core.q(hx("p"))
         return outs
     if op == "PRELUDE":
-        x0, y0, v0, w, s, t = nativecore.prelude(hx("j"), hx("k"))
-        return {"x0": word(x0), "y0": word(y0), "v0": word(v0),
-                "w": word(w), "s": word(s), "t": word(t)}
+        return dict(zip(_PRELUDE_KEYS, core.prelude(hx("j"), hx("k"))))
     if op == "LOOP_TRACE":
         masks = (hx("a"), hx("c"), hx("b"), hx("d"))
-        tr = nativecore.loop_trace(hx("x0"), hx("y0"), hx("v"), hx("w"),
-                                   hx("m"), masks)
-        return {k: word(tr[k.capitalize()]) for k in _TRACE_KEYS}
+        tr = core.loop_trace(hx("x0"), hx("y0"), hx("v"), hx("w"), hx("m"),
+                             masks)
+        return {k: tr[k.capitalize()] for k in _TRACE_KEYS}
     if op == "FULL_2BLOCK":
         j, k = hx("j"), hx("k")
-        x0, y0, v0, w, s, t = nativecore.prelude(j, k)
-        outs = {"p": "{:02X}".format(nativecore.pat(j, k)),
-                "x0": word(x0), "y0": word(y0), "v0": word(v0),
-                "w": word(w), "s": word(s), "t": word(t)}
-        x, y, v = nativecore.main_loop(x0, y0, v0, w, hx("m1"))
-        outs["x"], outs["y"] = word(x), word(y)
-        x, y, v = nativecore.main_loop(x, y, v, w, hx("m2"))
-        outs["xp"], outs["yp"] = word(x), word(y)
-        x, y, v = nativecore.main_loop(x, y, v, w, s)
-        outs["xpp"], outs["ypp"] = word(x), word(y)
-        x, y, v = nativecore.main_loop(x, y, v, w, t)
-        outs["xppp"], outs["yppp"] = word(x), word(y)
-        outs["z"] = word(x ^ y)
+        outs = _chain(core, j, k, (hx("m1"), hx("m2")))
+        for key, step in _TWO_BLOCK_KEYS.items():
+            outs[key] = outs[step]
+        outs["p"] = core.pat(j, k)
         return outs
     if op == "CHAIN_TRACE":
-        x0, y0, v0, w, s, t = nativecore.prelude(hx("j"), hx("k"))
-        x, y, v = x0, y0, v0
-        outs = {}
-        for i, value in enumerate(_progression(ins), start=1):
-            x, y, v = nativecore.main_loop(x, y, v, w, value)
-            outs[f"x{i:02d}"], outs[f"y{i:02d}"] = word(x), word(y)
-        x, y, v = nativecore.main_loop(x, y, v, w, s)
-        outs["cx1"], outs["cy1"] = word(x), word(y)
-        x, y, v = nativecore.main_loop(x, y, v, w, t)
-        outs["cx2"], outs["cy2"] = word(x), word(y)
-        outs["z"] = word(x ^ y)
-        return outs
+        return _chain(core, hx("j"), hx("k"), _progression(ins))
     if op == "LONG_MAC":
-        z = nativecore.mac_values(hx("j"), hx("k"), _progression(ins))
-        return {"z": word(z)}
+        return {"z": core.mac_values(hx("j"), hx("k"), _progression(ins))}
     raise AssertionError(op)
 
 
 def run_record(record, core):
     """One record on one core; a CheckResult per expected output."""
-    outs = _gate_outs(record) if core == "gate" else _native_outs(record)
-    return [CheckResult(record.suite, record.name, key, core, want, outs[key])
+    outs = _outs(record, _CORES[core])
+    return [CheckResult(record.suite, record.name, key, core, want,
+                        f"{outs[key]:0{len(want)}X}")
             for key, want in record.outputs.items()]
 
 
@@ -403,7 +397,7 @@ def run_suite(suite="ALL", core="gate"):
     records = [r for r in load_vectors()
                if suite == "ALL" or r.suite == suite]
     checks = []
-    for c in ("gate", "native") if core == "both" else (core,):
+    for c in _CORES if core == "both" else (core,):
         for record in records:
             checks.extend(run_record(record, c))
     notes = []

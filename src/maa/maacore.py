@@ -15,7 +15,7 @@ the overall MAC.  MacStream reproduces this cycle by cycle.
 from dataclasses import dataclass
 
 from .wordcore import (
-    Block, Octet, add_block, and_block, or_block, xor_block,
+    Block, add_block, and_block, or_block, xor_block,
 )
 from .maaops import (
     FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
@@ -43,6 +43,11 @@ class Key:
     J: Block
     K: Block
 
+    def __post_init__(self):
+        if not (isinstance(self.J, Block) and isinstance(self.K, Block)):
+            raise TypeError("key halves must be Blocks; use Key.from_hex "
+                            "or Block.from_int")
+
     @classmethod
     def from_hex(cls, j, k):
         return cls(Block.from_hex(j), Block.from_hex(k))
@@ -56,45 +61,6 @@ class PreludeOut:
     W: Block
     S: Block
     T: Block
-
-
-@dataclass(frozen=True)
-class PreludeIntermediates:
-    """Every intermediate of the key expansion, for vector checks.
-
-    J1/K1 are the byte-adjusted key halves and P the pattern octet of the
-    raw key.  J1n/J2n are the MUL1/MUL2 power ladders of J1 (exponents 2,
-    4, 6, 8), K1n/K2n those of K1 (exponents 2, 4, 5, 7, 9), and the H
-    blocks combine them pairwise before the final byte adjustment.
-    """
-    J1: Block
-    K1: Block
-    P: Octet
-    J12: Block
-    J14: Block
-    J16: Block
-    J18: Block
-    J22: Block
-    J24: Block
-    J26: Block
-    J28: Block
-    K12: Block
-    K14: Block
-    K15: Block
-    K17: Block
-    K19: Block
-    K22: Block
-    K24: Block
-    K25: Block
-    K27: Block
-    K29: Block
-    H0: Block
-    H4: Block
-    H5: Block
-    H6: Block
-    H7: Block
-    H8: Block
-    H9: Block
 
 
 @dataclass(frozen=True)
@@ -114,30 +80,19 @@ class LoopMasks:
 TRUE_MASKS = LoopMasks(FIX1_OR_MASK, FIX1_AND_MASK, FIX2_OR_MASK, FIX2_AND_MASK)
 
 
-@dataclass(frozen=True)
-class LoopTrace:
-    """All intermediates of one instrumented main-loop iteration."""
-    Vp: Block
-    E: Block
-    X: Block
-    Y: Block
-    F: Block
-    G: Block
-    Fp: Block
-    Gp: Block
-    Fpp: Block
-    Gpp: Block
-    Xp: Block
-    Yp: Block
-    Z: Block
-
-
 def power_chain(j1, k1, p):
     """The prelude's multiplicative core, from adjusted key halves.
 
     Raises J1 and K1 through both multiplier ladders and combines the
     powers into the H blocks.  Split out from prelude() because the
     vector tables drive it with hand-picked J1/K1/P directly.
+
+    Returns every intermediate by name, keyed as nativecore.power_chain
+    keys them: J1/K1 are the byte-adjusted key halves and P the pattern
+    octet of the raw key, J1n/J2n the MUL1/MUL2 power ladders of J1
+    (exponents 2, 4, 6, 8), K1n/K2n those of K1 (exponents 2, 4, 5, 7,
+    9), and the H blocks combine them pairwise before the final byte
+    adjustment.
     """
     j12 = mul1(j1, j1)
     j14 = mul1(j12, j12)
@@ -164,7 +119,7 @@ def power_chain(j1, k1, p):
     h5 = mul2(h0, q(p))
     h7 = xor_block(k17, k27)
     h9 = xor_block(k19, k29)
-    return PreludeIntermediates(
+    return dict(
         J1=j1, K1=k1, P=p,
         J12=j12, J14=j14, J16=j16, J18=j18,
         J22=j22, J24=j24, J26=j26, J28=j28,
@@ -175,7 +130,7 @@ def power_chain(j1, k1, p):
 
 
 def prelude(key):
-    """Expand the key into (X0, Y0, V0, W, S, T), plus all intermediates.
+    """Expand the key into (X0, Y0, V0, W, S, T).
 
     The pattern octet P comes from the raw key blocks; the power ladders
     run on the byte-adjusted ones.
@@ -183,10 +138,10 @@ def prelude(key):
     j1, k1 = byt(key.J, key.K)
     p = pat(key.J, key.K)
     im = power_chain(j1, k1, p)
-    x0, y0 = byt(im.H4, im.H5)
-    v0, w = byt(im.H6, im.H7)
-    s, t = byt(im.H8, im.H9)
-    return PreludeOut(x0, y0, v0, w, s, t), im
+    x0, y0 = byt(im["H4"], im["H5"])
+    v0, w = byt(im["H6"], im["H7"])
+    s, t = byt(im["H8"], im["H9"])
+    return PreludeOut(x0, y0, v0, w, s, t)
 
 
 def main_loop(x, y, v, w, block):
@@ -200,19 +155,13 @@ def main_loop(x, y, v, w, block):
     return x2, y2, v2
 
 
-def main_loop2(x0, y0, v0, w, z, block):
-    """Segment-boundary step: absorb the previous segment's MAC, then the
-    block, restarting from the prelude registers."""
-    x, y, v = main_loop(x0, y0, v0, w, z)
-    return main_loop(x, y, v, w, block)
-
-
 def loop_trace(x, y, v, w, block, masks=TRUE_MASKS):
     """One main-loop iteration with every intermediate exposed.
 
     Identical arithmetic to main_loop, decomposed to the granularity of
     the published tables, with the conditioning masks substitutable.
-    The trailing Z is simply XOR(Xp, Yp).
+    The trailing Z is simply XOR(Xp, Yp).  Keyed as nativecore.loop_trace
+    keys its result.
     """
     vp = cyc(v)
     e = xor_block(vp, w)
@@ -226,8 +175,8 @@ def loop_trace(x, y, v, w, block, masks=TRUE_MASKS):
     gpp = and_block(gp, masks.and2)
     xp = mul1(xm, fpp)
     yp = mul2a(ym, gpp)
-    return LoopTrace(Vp=vp, E=e, X=xm, Y=ym, F=f, G=g, Fp=fp, Gp=gp,
-                     Fpp=fpp, Gpp=gpp, Xp=xp, Yp=yp, Z=xor_block(xp, yp))
+    return dict(Vp=vp, E=e, X=xm, Y=ym, F=f, G=g, Fp=fp, Gp=gp,
+                Fpp=fpp, Gpp=gpp, Xp=xp, Yp=yp, Z=xor_block(xp, yp))
 
 
 def coda(x, y, v, w, s, t):
@@ -267,25 +216,22 @@ class MacStream:
     """Per-block MAC computation with the segmented mode of operation.
 
     Push blocks one at a time; mac() is the MAC of everything pushed so
-    far.  Internally n counts 0..255 within the current segment, and the
-    push after n reaches 255 starts a new segment: the previous segment's
-    MAC is absorbed first, with the registers restarted from their
-    prelude values.  The key is consulted only at construction.
+    far.  Every push after a multiple of SEGMENT_BLOCKS starts a new
+    segment: the previous segment's MAC is absorbed first, with the
+    registers restarted from their prelude values.  The key is consulted
+    only at construction.
     """
 
     def __init__(self, key, limit=MESSAGE_BLOCK_LIMIT):
         if limit < 1:
             raise ValueError("block limit must be at least 1")
-        self.key = key
         self.limit = limit
-        self.prelude, _ = prelude(key)
+        self.prelude = prelude(key)
         self.X = None
         self.Y = None
         self.V = None
         self.last_z = None
-        self.n = 0
         self.total_blocks = 0
-        self.started = False
 
     def push(self, block):
         if self.total_blocks >= self.limit:
@@ -293,16 +239,12 @@ class MacStream:
                 f"message exceeds the {self.limit}-block limit "
                 f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
         pre = self.prelude
-        if not self.started:
-            self.started = True
-            self.n = 0
+        if self.total_blocks == 0:
             x, y, v = main_loop(pre.X0, pre.Y0, pre.V0, pre.W, block)
-        elif self.n == 255:
-            self.n = 0
-            x, y, v = main_loop2(pre.X0, pre.Y0, pre.V0, pre.W,
-                                 self._coda(), block)
+        elif self.total_blocks % SEGMENT_BLOCKS == 0:
+            x, y, v = main_loop(pre.X0, pre.Y0, pre.V0, pre.W, self._coda())
+            x, y, v = main_loop(x, y, v, pre.W, block)
         else:
-            self.n += 1
             x, y, v = main_loop(self.X, self.Y, self.V, pre.W, block)
         self.X, self.Y, self.V = x, y, v
         self.last_z = None
@@ -317,18 +259,10 @@ class MacStream:
 
     def mac(self):
         """MAC of all blocks pushed so far."""
-        if not self.started:
+        if self.total_blocks == 0:
             raise EmptyMessageError("no blocks pushed; the MAC of an empty "
                                     "message is undefined")
         return self._coda()
-
-
-def mac_stream_new(key, limit=MESSAGE_BLOCK_LIMIT):
-    return MacStream(key, limit)
-
-
-def mac_stream_push(stream, block):
-    return stream.push(block)
 
 
 def mac_blocks(key, blocks, limit=MESSAGE_BLOCK_LIMIT):

@@ -13,7 +13,7 @@ published vectors pin the fold's pick.
 """
 
 from .maacore import (
-    EmptyMessageError, Key, MESSAGE_BLOCK_LIMIT, MessageLimitError,
+    EmptyMessageError, MESSAGE_BLOCK_LIMIT, MessageLimitError, SEGMENT_BLOCKS,
 )
 from .wordcore import Block
 
@@ -126,6 +126,9 @@ def power_chain(j1, k1, p):
 
 
 def prelude(j, k):
+    if not (0 <= j <= MASK32 and 0 <= k <= MASK32):
+        raise ValueError(f"key halves must be 32-bit words, got "
+                         f"{j:#x} and {k:#x}")
     j1, k1 = byt(j, k)
     im = power_chain(j1, k1, pat(j, k))
     x0, y0 = byt(im["H4"], im["H5"])
@@ -171,6 +174,7 @@ def coda(x, y, v, w, s, t):
 def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
     """MAC over a sequence of 32-bit block values, segmented mode."""
     x0, y0, v0, w, s, t = prelude(j, k)
+    segment = SEGMENT_BLOCKS
     x = y = v = None
     count = 0
     for m in values:
@@ -180,7 +184,7 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
                 f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
         if count == 0:
             x, y, v = main_loop(x0, y0, v0, w, m)
-        elif count % 256 == 0:
+        elif count % segment == 0:
             z = coda(x, y, v, w, s, t)
             x, y, v = main_loop(x0, y0, v0, w, z)
             x, y, v = main_loop(x, y, v, w, m)
@@ -197,8 +201,3 @@ def native_mac(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
     """Block-typed front door, bit-identical to the gate-level stream."""
     z = mac_values(key.J.value, key.K.value, (b.value for b in blocks), limit)
     return Block.from_int(z)
-
-
-native_mul1 = mul1
-native_mul2 = mul2
-native_mul2a = mul2a

@@ -118,10 +118,6 @@ class Half:
             raise ValueError(f"half value out of range: {v}")
         return cls(_OCTETS[v >> 8], _OCTETS[v & 0xFF])
 
-    @classmethod
-    def from_hex(cls, s):
-        return cls.from_int(_parse_hex(s, 4))
-
     def hex(self):
         return f"{self.value:04X}"
 
@@ -194,10 +190,6 @@ class Pair:
             raise ValueError(f"pair value out of range: {v}")
         return cls(Block.from_int(v >> 32), Block.from_int(v & 0xFFFFFFFF))
 
-    @classmethod
-    def from_hex(cls, s):
-        return cls.from_int(_parse_hex(s, 16))
-
     def hex(self):
         return f"{self.value:016X}"
 
@@ -232,30 +224,6 @@ def or_octet(a, b):
 @cache
 def xor_octet(a, b):
     return Octet.from_bits(tuple(map(xor_bit, a.bits, b.bits)))
-
-
-@cache
-def not_octet(a):
-    return Octet.from_bits(tuple(map(not_bit, a.bits)))
-
-
-def octet_logic(op, a, b=None):
-    """Apply a named bitwise operation across all eight positions.
-
-    op is one of "AND", "OR", "XOR", "NOT"; b must be omitted exactly
-    when op is "NOT".
-    """
-    if op == "NOT":
-        if b is not None:
-            raise ValueError("NOT takes a single operand")
-        return not_octet(a)
-    if b is None:
-        raise ValueError(f"{op} takes two operands")
-    try:
-        f = {"AND": and_octet, "OR": or_octet, "XOR": xor_octet}[op]
-    except KeyError:
-        raise ValueError(f"unknown octet operation: {op!r}") from None
-    return f(a, b)
 
 
 def shift_octet(a, n, direction):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maa import maacore, maaops, nativecore
+from maa import kat, maacore, maaops, nativecore
 from maa.maacore import EmptyMessageError, Key, MessageLimitError
 from maa.wordcore import Block
 
@@ -18,12 +18,6 @@ def test_multiplication_vectors():
     assert nativecore.mul2(0xFFFFFFF0, 0xFFFFFFF1) == 0x000000B6
     assert nativecore.mul2a(0x7FFFFFF0, 0xFFFFFFF1) == 0x800000C2
     assert nativecore.mul2a(0xFFFFFFF0, 0x7FFFFFF1) == 0x000000C4
-
-
-def test_aliases_are_the_same_functions():
-    assert nativecore.native_mul1 is nativecore.mul1
-    assert nativecore.native_mul2 is nativecore.mul2
-    assert nativecore.native_mul2a is nativecore.mul2a
 
 
 def test_conditioning_vectors():
@@ -75,7 +69,7 @@ def test_main_loop_matches_gate(x, y, v, w, m):
 @given(words, words)
 @settings(max_examples=15, deadline=None)
 def test_prelude_matches_gate(j, k):
-    pre, _ = maacore.prelude(Key(Block.from_int(j), Block.from_int(k)))
+    pre = maacore.prelude(Key(Block.from_int(j), Block.from_int(k)))
     assert nativecore.prelude(j, k) == (pre.X0.value, pre.Y0.value,
                                         pre.V0.value, pre.W.value,
                                         pre.S.value, pre.T.value)
@@ -100,3 +94,27 @@ def test_error_paths():
         nativecore.mac_values(1, 2, [0, 0, 0], limit=2)
     with pytest.raises(EmptyMessageError):
         nativecore.mac_values(1, 2, iter([]))
+    # key halves outside 32 bits are refused, not silently MAC'd
+    for j, k in ((2**40, 2), (2**32, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            nativecore.mac_values(j, k, [1])
+
+
+def _mul1_without_end_around_carry(a, b):
+    p = a * b
+    return ((p >> 32) + (p & nativecore.MASK32)) & nativecore.MASK32
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("mul1", _mul1_without_end_around_carry),
+    ("mul2", nativecore.mul2a),
+    ("SEGMENT_BLOCKS", 255),
+    ("SEGMENT_BLOCKS", 257),
+    ("byt", lambda a, b: (a, b)),
+], ids=["mul1-no-carry", "mul2-is-mul2a", "segment-255", "segment-257",
+        "byt-identity"])
+def test_corpus_catches_one_line_mutants(monkeypatch, name, mutant):
+    # the corpus must not pass vacuously: each mutant of the native core
+    # has to fail at least one check
+    monkeypatch.setattr(nativecore, name, mutant)
+    assert kat.run_suite("ALL", "native").failed > 0

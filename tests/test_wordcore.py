@@ -9,8 +9,7 @@ from maa.wordcore import (
     add_bit, add_block, add_block_carry, add_half, add_half_carry,
     add_octet, add_octet_carry, and_block, and_octet, block_from_half,
     car_bit, half_from_octet, lower_half, mul_block, mul_half, mul_octet,
-    not_octet, octet_logic, or_block, or_octet, shift_octet, upper_half,
-    xor_block, xor_octet,
+    or_block, or_octet, shift_octet, upper_half, xor_block, xor_octet,
 )
 
 octets = st.integers(0, 255)
@@ -40,26 +39,11 @@ def test_octet_interning():
 def test_octet_logic_exhaustive():
     for a in range(256):
         oa = Octet.from_int(a)
-        assert not_octet(oa).value == a ^ 0xFF
         for b in range(0, 256, 7):
             ob = Octet.from_int(b)
             assert and_octet(oa, ob).value == a & b
             assert or_octet(oa, ob).value == a | b
             assert xor_octet(oa, ob).value == a ^ b
-
-
-def test_octet_logic_dispatch():
-    a, b = Octet.from_int(0x3C), Octet.from_int(0x55)
-    assert octet_logic("AND", a, b) is and_octet(a, b)
-    assert octet_logic("OR", a, b) is or_octet(a, b)
-    assert octet_logic("XOR", a, b) is xor_octet(a, b)
-    assert octet_logic("NOT", a) is not_octet(a)
-    with pytest.raises(ValueError):
-        octet_logic("NOT", a, b)
-    with pytest.raises(ValueError):
-        octet_logic("AND", a)
-    with pytest.raises(ValueError):
-        octet_logic("NAND", a, b)
 
 
 def test_shift_octet_exhaustive():
@@ -98,16 +82,18 @@ def test_octet_multiplier_edges():
 
 
 def test_hex_round_trips():
-    assert Half.from_hex("BEEF").hex() == "BEEF"
-    assert Half.from_hex("beef").value == 0xBEEF
+    assert Half.from_int(0xBEEF).hex() == "BEEF"
     assert Block.from_hex("DeadBeef").hex() == "DEADBEEF"
-    assert Pair.from_hex("0123456789ABCDEF").hex() == "0123456789ABCDEF"
+    assert Pair.from_int(0x0123456789ABCDEF).hex() == "0123456789ABCDEF"
     with pytest.raises(ValueError):
         Block.from_hex("123")
     with pytest.raises(ValueError):
         Block.from_hex("123456789")
     with pytest.raises(ValueError):
-        Half.from_hex("XYZW")
+        Block.from_hex("XYZWXYZW")
+    for cls, top in ((Half, 0xFFFF), (Pair, 2**64 - 1)):
+        with pytest.raises(ValueError):
+            cls.from_int(top + 1)
 
 
 def test_value_equality_and_hash():
