@@ -293,10 +293,8 @@ class _GateCore:
         return {name: word.value for name, word in im.items()}
 
     def prelude(self, j, k):
-        pre = maacore.prelude(maacore.Key(Block.from_int(j),
-                                          Block.from_int(k)))
-        return (pre.X0.value, pre.Y0.value, pre.V0.value, pre.W.value,
-                pre.S.value, pre.T.value)
+        key = maacore.Key(Block.from_int(j), Block.from_int(k))
+        return tuple(r.value for r in maacore.prelude(key))
 
     def main_loop(self, x, y, v, w, block):
         regs = maacore.main_loop(*map(Block.from_int, (x, y, v, w, block)))
@@ -305,13 +303,13 @@ class _GateCore:
     def loop_trace(self, x, y, v, w, block, masks):
         tr = maacore.loop_trace(
             *map(Block.from_int, (x, y, v, w, block)),
-            maacore.LoopMasks(*map(Block.from_int, masks)))
+            tuple(map(Block.from_int, masks)))
         return {name: word.value for name, word in tr.items()}
 
-    def mac_values(self, j, k, values):
+    def mac_values(self, j, k, values, limit=maacore.MESSAGE_BLOCK_LIMIT):
         key = maacore.Key(Block.from_int(j), Block.from_int(k))
-        blocks = [Block.from_int(v) for v in values]
-        return maacore.mac_blocks(key, blocks).value
+        blocks = map(Block.from_int, values)
+        return maacore.mac_blocks(key, blocks, limit).value
 
 
 _CORES = {"gate": _GateCore(), "native": nativecore}

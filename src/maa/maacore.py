@@ -37,6 +37,11 @@ class MessageLimitError(ValueError):
     pass
 
 
+def _limit_error(limit):
+    return MessageLimitError(f"message exceeds the {limit}-block limit "
+                             f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
+
+
 @dataclass(frozen=True)
 class Key:
     """The 64-bit key as two blocks.  J seeds X/Y, K seeds V/W/S/T."""
@@ -53,31 +58,9 @@ class Key:
         return cls(Block.from_hex(j), Block.from_hex(k))
 
 
-@dataclass(frozen=True)
-class PreludeOut:
-    X0: Block
-    Y0: Block
-    V0: Block
-    W: Block
-    S: Block
-    T: Block
-
-
-@dataclass(frozen=True)
-class LoopMasks:
-    """The OR/AND mask pairs applied ahead of the two multiplications.
-
-    The vector tables exercise the loop with small substitute masks, so
-    the instrumented iteration takes them as a parameter; TRUE_MASKS are
-    the algorithm's own.
-    """
-    or1: Block
-    and1: Block
-    or2: Block
-    and2: Block
-
-
-TRUE_MASKS = LoopMasks(FIX1_OR_MASK, FIX1_AND_MASK, FIX2_OR_MASK, FIX2_AND_MASK)
+# (or1, and1, or2, and2): the OR/AND masks ahead of the two multiplications.
+# loop_trace takes substitutes, since the vector tables use small ones.
+TRUE_MASKS = (FIX1_OR_MASK, FIX1_AND_MASK, FIX2_OR_MASK, FIX2_AND_MASK)
 
 
 def power_chain(j1, k1, p):
@@ -141,7 +124,7 @@ def prelude(key):
     x0, y0 = byt(im["H4"], im["H5"])
     v0, w = byt(im["H6"], im["H7"])
     s, t = byt(im["H8"], im["H9"])
-    return PreludeOut(x0, y0, v0, w, s, t)
+    return x0, y0, v0, w, s, t
 
 
 def main_loop(x, y, v, w, block):
@@ -159,20 +142,21 @@ def loop_trace(x, y, v, w, block, masks=TRUE_MASKS):
     """One main-loop iteration with every intermediate exposed.
 
     Identical arithmetic to main_loop, decomposed to the granularity of
-    the published tables, with the conditioning masks substitutable.
-    The trailing Z is simply XOR(Xp, Yp).  Keyed as nativecore.loop_trace
-    keys its result.
+    the published tables, with the conditioning masks (or1, and1, or2,
+    and2) substitutable.  The trailing Z is simply XOR(Xp, Yp).  Keyed as
+    nativecore.loop_trace keys its result.
     """
+    or1, and1, or2, and2 = masks
     vp = cyc(v)
     e = xor_block(vp, w)
     xm = xor_block(x, block)
     ym = xor_block(y, block)
     f = add_block(e, ym)
     g = add_block(e, xm)
-    fp = or_block(f, masks.or1)
-    gp = or_block(g, masks.or2)
-    fpp = and_block(fp, masks.and1)
-    gpp = and_block(gp, masks.and2)
+    fp = or_block(f, or1)
+    gp = or_block(g, or2)
+    fpp = and_block(fp, and1)
+    gpp = and_block(gp, and2)
     xp = mul1(xm, fpp)
     yp = mul2a(ym, gpp)
     return dict(Vp=vp, E=e, X=xm, Y=ym, F=f, G=g, Fp=fp, Gp=gp,
@@ -186,40 +170,14 @@ def coda(x, y, v, w, s, t):
     return xor_block(x2, y2)
 
 
-class StepResult:
-    """Registers after one pushed block.
-
-    z is the per-cycle MAC (the coda applied to this state); it is
-    computed on first access and only then, so callers that ignore it pay
-    nothing.  The snapshot is immutable: z stays valid after the stream
-    moves on.
-    """
-
-    __slots__ = ("x", "y", "v", "_ws", "_z")
-
-    def __init__(self, x, y, v, ws):
-        self.x = x
-        self.y = y
-        self.v = v
-        self._ws = ws
-        self._z = None
-
-    @property
-    def z(self):
-        if self._z is None:
-            w, s, t = self._ws
-            self._z = coda(self.x, self.y, self.v, w, s, t)
-        return self._z
-
-
 class MacStream:
     """Per-block MAC computation with the segmented mode of operation.
 
-    Push blocks one at a time; mac() is the MAC of everything pushed so
-    far.  Every push after a multiple of SEGMENT_BLOCKS starts a new
-    segment: the previous segment's MAC is absorbed first, with the
-    registers restarted from their prelude values.  The key is consulted
-    only at construction.
+    push() absorbs one block and returns the registers (x, y, v); mac()
+    is the MAC of everything pushed so far.  Every push after a multiple
+    of SEGMENT_BLOCKS starts a new segment: the previous segment's MAC is
+    absorbed first, with the registers restarted from their prelude
+    values.  The key is consulted only at construction.
     """
 
     def __init__(self, key, limit=MESSAGE_BLOCK_LIMIT):
@@ -234,35 +192,32 @@ class MacStream:
         self.total_blocks = 0
 
     def push(self, block):
+        if not isinstance(block, Block):
+            raise TypeError(f"expected a Block, got {type(block).__name__}")
         if self.total_blocks >= self.limit:
-            raise MessageLimitError(
-                f"message exceeds the {self.limit}-block limit "
-                f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
-        pre = self.prelude
+            raise _limit_error(self.limit)
+        x0, y0, v0, w, _, _ = self.prelude
         if self.total_blocks == 0:
-            x, y, v = main_loop(pre.X0, pre.Y0, pre.V0, pre.W, block)
+            x, y, v = main_loop(x0, y0, v0, w, block)
         elif self.total_blocks % SEGMENT_BLOCKS == 0:
-            x, y, v = main_loop(pre.X0, pre.Y0, pre.V0, pre.W, self._coda())
-            x, y, v = main_loop(x, y, v, pre.W, block)
+            x, y, v = main_loop(x0, y0, v0, w, self.mac())
+            x, y, v = main_loop(x, y, v, w, block)
         else:
-            x, y, v = main_loop(self.X, self.Y, self.V, pre.W, block)
+            x, y, v = main_loop(self.X, self.Y, self.V, w, block)
         self.X, self.Y, self.V = x, y, v
         self.last_z = None
         self.total_blocks += 1
-        return StepResult(x, y, v, (pre.W, pre.S, pre.T))
-
-    def _coda(self):
-        if self.last_z is None:
-            pre = self.prelude
-            self.last_z = coda(self.X, self.Y, self.V, pre.W, pre.S, pre.T)
-        return self.last_z
+        return x, y, v
 
     def mac(self):
-        """MAC of all blocks pushed so far."""
+        """MAC of all blocks pushed so far; at most one coda per push."""
         if self.total_blocks == 0:
             raise EmptyMessageError("no blocks pushed; the MAC of an empty "
                                     "message is undefined")
-        return self._coda()
+        if self.last_z is None:
+            _, _, _, w, s, t = self.prelude
+            self.last_z = coda(self.X, self.Y, self.V, w, s, t)
+        return self.last_z
 
 
 def mac_blocks(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
@@ -284,5 +239,7 @@ def message_blocks(payload):
 
 
 def mac_message(key, payload, limit=MESSAGE_BLOCK_LIMIT):
-    """MAC of a byte string."""
+    """MAC of a byte string; one over the limit fails before any work."""
+    if 0 < limit < (len(payload) + 3) // 4:
+        raise _limit_error(limit)
     return mac_blocks(key, message_blocks(payload), limit)

@@ -1,11 +1,13 @@
 """The command line, driven in process through main(argv)."""
 
+import random
 import subprocess
 import sys
 
 import pytest
 
-from maa import cli
+from maa import cli, nativecore
+from maa.maacore import SEGMENT_BLOCKS
 
 KEY = "00FF00FF" "00000000"
 
@@ -68,6 +70,24 @@ def test_trace_shows_registers_and_mac(capsys):
     assert "48B204D6" in out and "5834A585" in out    # after block 1
     assert "4F998E01" in out and "BE9F0917" in out    # after block 2
     assert lines[-1] == "MAC F14D6E28"
+
+
+def test_trace_z_matches_native_across_a_segment_boundary(capsys):
+    # each row's Z is the MAC of the message so far; rows 257 and 258
+    # come after the first segment's MAC has been absorbed
+    rng = random.Random(258)
+    values = [rng.getrandbits(32) for _ in range(SEGMENT_BLOCKS + 2)]
+    payload = b"".join(v.to_bytes(4, "big") for v in values)
+    code, out, _ = run(capsys, "trace", "--key", KEY, "--hex", payload.hex())
+    assert code == 0
+    rows = out.splitlines()[3:]
+    assert len(rows) == len(values) + 1
+    j, k = int(KEY[:8], 16), int(KEY[8:], 16)
+    for n, row in enumerate(rows[:-1], start=1):
+        fields = row.split()
+        assert (int(fields[0]), int(fields[1], 16)) == (n, values[n - 1])
+        assert int(fields[-1], 16) == nativecore.mac_values(j, k, values[:n])
+    assert rows[-1] == f"MAC {nativecore.mac_values(j, k, values):08X}"
 
 
 def test_selftest_single_suite(capsys):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maa import maacore
 from maa.maacore import (
-    EmptyMessageError, Key, LoopMasks, MacStream, MessageLimitError,
+    EmptyMessageError, Key, MacStream, MessageLimitError,
     SEGMENT_BLOCKS, TRUE_MASKS, coda, loop_trace, mac_blocks, mac_message,
     main_loop, message_blocks, power_chain, prelude,
 )
@@ -32,13 +33,9 @@ def test_power_chain_small_key():
 
 
 def test_prelude_realistic_key():
-    pre = prelude(Key.from_hex("E6A12F07", "9D15C437"))
-    assert pre.X0 == B("21D869BA")
-    assert pre.Y0 == B("7792F9D4")
-    assert pre.V0 == B("C4EB1AEB")
-    assert pre.W == B("F6A09667")
-    assert pre.S == B("6D67E884")
-    assert pre.T == B("A511987A")
+    assert prelude(Key.from_hex("E6A12F07", "9D15C437")) == (
+        B("21D869BA"), B("7792F9D4"), B("C4EB1AEB"),
+        B("F6A09667"), B("6D67E884"), B("A511987A"))
 
 
 def test_prelude_degenerate_key():
@@ -49,18 +46,13 @@ def test_prelude_degenerate_key():
     j1, k1 = byt(key.J, key.K)
     assert pat(key.J, key.K).value == 0xFF != pat(j1, k1).value
     im = power_chain(j1, k1, pat(key.J, key.K))
-    assert byt(im["H4"], im["H5"]) == (pre.X0, pre.Y0)
-    assert pre.X0 == B("4A645A01")
-    assert pre.Y0 == B("50DEC930")
-    assert pre.V0 == B("5CCA3239")
-    assert pre.W == B("FECCAA6E")
-    assert pre.S == B("51EDE9C7")
-    assert pre.T == B("24B66FB5")
+    assert byt(im["H4"], im["H5"]) == pre[:2]
+    assert pre == (B("4A645A01"), B("50DEC930"), B("5CCA3239"),
+                   B("FECCAA6E"), B("51EDE9C7"), B("24B66FB5"))
 
 
 def test_loop_trace_with_substitute_masks():
-    masks = LoopMasks(B("00000004"), B("FFFFFFF7"), B("00000001"),
-                      B("FFFFFFFB"))
+    masks = (B("00000004"), B("FFFFFFF7"), B("00000001"), B("FFFFFFFB"))
     tr = loop_trace(B("00000002"), B("00000003"), B("00000003"),
                     B("00000003"), B("00000005"), masks)
     assert tr["Vp"] == B("00000006") and tr["E"] == B("00000005")
@@ -71,8 +63,7 @@ def test_loop_trace_with_substitute_masks():
 
 def test_three_block_trace_chains():
     # X', Y', V' of each iteration feed the next one
-    masks = LoopMasks(B("00000002"), B("FFFFFFFB"), B("00000001"),
-                      B("FFFFFFFB"))
+    masks = (B("00000002"), B("FFFFFFFB"), B("00000001"), B("FFFFFFFB"))
     x, y, v, w = B("00000001"), B("00000002"), B("00000001"), B("00000001")
     finals = []
     for m in ("00000000", "00000001", "00000002"):
@@ -109,24 +100,22 @@ def test_stream_zero_message_chain():
     stream = MacStream(key)
     zero = Block.from_int(0)
     steps = [stream.push(zero) for _ in range(20)]
-    assert (steps[0].x, steps[0].y) == (B("303FF4AA"), B("1277A6D4"))
-    assert (steps[1].x, steps[1].y) == (B("55DD063F"), B("4C49AAE0"))
-    assert (steps[19].x, steps[19].y) == (B("5EBA06C2"), B("91896CFA"))
+    assert steps[0][:2] == (B("303FF4AA"), B("1277A6D4"))
+    assert steps[1][:2] == (B("55DD063F"), B("4C49AAE0"))
+    assert steps[19][:2] == (B("5EBA06C2"), B("91896CFA"))
     assert stream.mac() == B("DB79FBDC")
     assert stream.mac() == B("DB79FBDC")  # idempotent
-    assert steps[19].z == B("DB79FBDC")
 
 
-def test_step_snapshots_are_stable():
+def test_mac_after_every_push_is_the_coda_of_the_registers():
+    # across the segment boundary too, where push itself reads mac()
+    rng = random.Random(5)
     key = Key.from_hex("E6A12F07", "9D15C437")
     stream = MacStream(key)
-    first = stream.push(B("0A202020"))
-    want = coda(first.x, first.y, first.v,
-                stream.prelude.W, stream.prelude.S, stream.prelude.T)
-    assert first.z == want
-    stream.push(B("DEADBEEF"))
-    # the earlier snapshot must not move when the stream does
-    assert first.z == want
+    _, _, _, w, s, t = stream.prelude
+    for block in _random_blocks(rng, SEGMENT_BLOCKS + 3):
+        regs = stream.push(block)
+        assert stream.mac() == coda(*regs, w, s, t)
 
 
 def test_stream_matches_batch_with_interleaved_reads():
@@ -135,30 +124,30 @@ def test_stream_matches_batch_with_interleaved_reads():
     blocks = _random_blocks(rng, 9)
     stream = MacStream(key)
     for b in blocks:
-        step = stream.push(b)
-        step.z  # forcing the per-cycle result must not disturb the state
+        stream.push(b)
+        stream.mac()  # reading the per-cycle result must not disturb state
     assert stream.mac() == mac_blocks(key, blocks)
 
 
 def test_segment_boundary_inserts_the_previous_result():
     rng = random.Random(7)
     key = Key.from_hex("E6A12F07", "9D15C437")
-    pre = prelude(key)
+    x0, y0, v0, w, s, t = prelude(key)
     blocks = _random_blocks(rng, SEGMENT_BLOCKS + 1)
 
     def fold(seq):
-        x, y, v = pre.X0, pre.Y0, pre.V0
+        x, y, v = x0, y0, v0
         for b in seq:
-            x, y, v = main_loop(x, y, v, pre.W, b)
+            x, y, v = main_loop(x, y, v, w, b)
         return x, y, v
 
     # first segment alone: a plain fold, no insertion
     assert mac_blocks(key, blocks[:SEGMENT_BLOCKS]) == \
-        coda(*fold(blocks[:SEGMENT_BLOCKS]), pre.W, pre.S, pre.T)
+        coda(*fold(blocks[:SEGMENT_BLOCKS]), w, s, t)
     # one block past the boundary: the first segment's result restarts
     # the registers before the leftover blocks
-    z1 = coda(*fold(blocks[:SEGMENT_BLOCKS]), pre.W, pre.S, pre.T)
-    want = coda(*fold([z1] + blocks[SEGMENT_BLOCKS:]), pre.W, pre.S, pre.T)
+    z1 = coda(*fold(blocks[:SEGMENT_BLOCKS]), w, s, t)
+    want = coda(*fold([z1] + blocks[SEGMENT_BLOCKS:]), w, s, t)
     assert mac_blocks(key, blocks) == want
 
 
@@ -194,6 +183,46 @@ def test_limits_and_empty_stream():
         mac_blocks(key, [Block.from_int(0)] * 3, limit=2)
     with pytest.raises(EmptyMessageError):
         mac_blocks(key, [])
+
+
+def test_mac_message_refuses_an_over_limit_payload_before_any_work(
+        monkeypatch):
+    key = Key.from_hex("80018001", "80018000")
+    limit = 3
+    # exactly limit blocks succeed, whatever the padding
+    assert mac_message(key, bytes(4 * limit), limit=limit) == \
+        mac_blocks(key, [Block.from_int(0)] * limit)
+    assert mac_message(key, bytes(4 * limit - 3), limit=limit) == \
+        mac_message(key, bytes(4 * limit), limit=limit)
+    calls = []
+    real = maacore.main_loop
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(maacore, "main_loop", counting)
+    with pytest.raises(MessageLimitError):
+        mac_message(key, bytes(4 * limit + 1), limit=limit)
+    assert calls == []
+    # the limit and the empty payload are judged as before
+    with pytest.raises(ValueError, match="at least 1"):
+        mac_message(key, bytes(8), limit=0)
+    with pytest.raises(EmptyMessageError):
+        mac_message(key, b"", limit=limit)
+    with pytest.raises(EmptyMessageError):
+        mac_message(key, b"", limit=0)
+
+
+def test_push_rejects_blocks_that_are_not_blocks():
+    # caught at the boundary, not as an AttributeError deep in the core
+    key = Key.from_hex("80018001", "80018000")
+    with pytest.raises(TypeError):
+        MacStream(key).push(1)
+    with pytest.raises(TypeError):
+        mac_blocks(key, [1, 2])
+    with pytest.raises(TypeError):
+        mac_blocks(key, [Block.from_int(1), 2])
 
 
 def test_key_from_hex_validates():

@@ -70,9 +70,7 @@ def test_main_loop_matches_gate(x, y, v, w, m):
 @settings(max_examples=15, deadline=None)
 def test_prelude_matches_gate(j, k):
     pre = maacore.prelude(Key(Block.from_int(j), Block.from_int(k)))
-    assert nativecore.prelude(j, k) == (pre.X0.value, pre.Y0.value,
-                                        pre.V0.value, pre.W.value,
-                                        pre.S.value, pre.T.value)
+    assert nativecore.prelude(j, k) == tuple(r.value for r in pre)
 
 
 def test_mac_matches_gate_across_a_boundary():
