@@ -10,16 +10,17 @@ import random
 import sys
 import time
 
-from . import kat
+from . import kat, nativecore
 from .maacore import (
-    EmptyMessageError, Key, MacStream, MessageLimitError, mac_message,
-    message_blocks,
+    EmptyMessageError, Key, MacStream, MessageLimitError, message_blocks,
 )
 from .wordcore import Block
 
 _SUITE_FLAGS = {s.lower().replace("_", ""): s for s in (*kat.SUITES, "ALL")}
 
 _BENCH_KEY = (0x80018001, 0x80018000)
+
+_CHUNK_BYTES = 64 << 10
 
 
 class _UsageError(Exception):
@@ -37,38 +38,41 @@ def _parse_key(text):
         raise _UsageError(f"--key is not hex: {text!r}")
 
 
-def _read_payload(args):
+def _chunks(args):
+    """The message as byte chunks: --hex in one, --input as the file is
+    read, _CHUNK_BYTES at a time."""
     if args.hex_data is not None:
         t = "".join(args.hex_data.split())
         if len(t) % 2:
             raise _UsageError("--hex wants an even number of digits")
         try:
-            return bytes.fromhex(t)
+            yield bytes.fromhex(t)
         except ValueError:
             raise _UsageError(f"--hex is not hex: {args.hex_data!r}")
+        return
     try:
         with open(args.input, "rb") as fh:
-            return fh.read()
+            while chunk := fh.read(_CHUNK_BYTES):
+                yield chunk
     except OSError as e:
         raise _UsageError(f"cannot read {args.input}: {e.strerror}")
 
 
 def cmd_mac(args):
     key = _parse_key(args.key)
-    payload = _read_payload(args)
     try:
-        z = mac_message(key, payload)
+        z = nativecore.mac_values(key.J.value, key.K.value,
+                                  nativecore.words(_chunks(args)))
     except (EmptyMessageError, MessageLimitError) as e:
         raise _UsageError(str(e))
-    print(z.hex())
+    print(f"{z:08X}")
     return 0
 
 
 def cmd_trace(args):
     key = _parse_key(args.key)
-    payload = _read_payload(args)
     try:
-        blocks = message_blocks(payload)
+        blocks = message_blocks(b"".join(_chunks(args)))
     except EmptyMessageError as e:
         raise _UsageError(str(e))
     stream = MacStream(key)

@@ -12,10 +12,11 @@ registers from their prelude values, and the last segment's result is
 the overall MAC.  MacStream reproduces this cycle by cycle.
 """
 
+import struct
 from dataclasses import dataclass
 
 from .wordcore import (
-    Block, add_block, and_block, or_block, xor_block,
+    _OCTETS, Block, add_block, and_block, or_block, xor_block,
 )
 from .maaops import (
     FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
@@ -234,8 +235,9 @@ def message_blocks(payload):
     if not payload:
         raise EmptyMessageError("message must contain at least one byte")
     padded = bytes(payload) + b"\x00" * (-len(payload) % 4)
-    return [Block.from_int(int.from_bytes(padded[i:i + 4], "big"))
-            for i in range(0, len(padded), 4)]
+    o = _OCTETS
+    return [Block(o[a], o[b], o[c], o[d])
+            for a, b, c, d in struct.iter_unpack("4B", padded)]
 
 
 def mac_message(key, payload, limit=MESSAGE_BLOCK_LIMIT):

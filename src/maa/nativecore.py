@@ -12,8 +12,11 @@ but may pick the other representative of a degenerate residue, and the
 published vectors pin the fold's pick.
 """
 
+import struct
+from itertools import islice
+
 from .maacore import (
-    EmptyMessageError, MESSAGE_BLOCK_LIMIT, MessageLimitError, SEGMENT_BLOCKS,
+    EmptyMessageError, MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS, _limit_error,
 )
 from .wordcore import Block
 
@@ -172,29 +175,48 @@ def coda(x, y, v, w, s, t):
 
 
 def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
-    """MAC over a sequence of 32-bit block values, segmented mode."""
+    """MAC over an iterable of 32-bit block values, segmented mode.
+
+    values is read one segment at a time, so an over-limit stream fails
+    after at most one segment past the limit has been read.  Each segment
+    is range-checked as a whole before it runs.
+    """
     x0, y0, v0, w, s, t = prelude(j, k)
     segment = SEGMENT_BLOCKS
-    x = y = v = None
+    it = iter(values)
     count = 0
-    for m in values:
-        if count >= limit:
-            raise MessageLimitError(
-                f"message exceeds the {limit}-block limit "
-                f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
-        if count == 0:
-            x, y, v = main_loop(x0, y0, v0, w, m)
-        elif count % segment == 0:
-            z = coda(x, y, v, w, s, t)
-            x, y, v = main_loop(x0, y0, v0, w, z)
+    z = None
+    while seg := list(islice(it, segment)):
+        count += len(seg)
+        if count > limit:
+            raise _limit_error(limit)
+        if min(seg) < 0 or max(seg) > MASK32:
+            raise ValueError(f"block values must be 32-bit words, got "
+                             f"{min(seg):#x} to {max(seg):#x}")
+        x, y, v = x0, y0, v0
+        if z is not None:
+            x, y, v = main_loop(x, y, v, w, z)
+        for m in seg:
             x, y, v = main_loop(x, y, v, w, m)
-        else:
-            x, y, v = main_loop(x, y, v, w, m)
-        count += 1
-    if count == 0:
+        z = coda(x, y, v, w, s, t)
+    if z is None:
         raise EmptyMessageError("no blocks; the MAC of an empty message is "
                                 "undefined")
-    return coda(x, y, v, w, s, t)
+    return z
+
+
+def words(chunks):
+    """Big-endian 32-bit words of a byte stream given as chunks of any
+    size.  Up to three bytes carry over into the next chunk, and a short
+    tail is zero-padded on the right, as message_blocks pads."""
+    carry = b""
+    for chunk in chunks:
+        view = memoryview(carry + chunk if carry else chunk)
+        cut = len(view) - len(view) % 4
+        yield from (w for (w,) in struct.iter_unpack(">I", view[:cut]))
+        carry = bytes(view[cut:])
+    if carry:
+        yield int.from_bytes(carry.ljust(4, b"\0"), "big")
 
 
 def native_mac(key, blocks, limit=MESSAGE_BLOCK_LIMIT):

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from maa import cli, nativecore
-from maa.maacore import SEGMENT_BLOCKS
+from maa import cli, maacore, nativecore
+from maa.maacore import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS
 
 KEY = "00FF00FF" "00000000"
 
@@ -49,15 +49,68 @@ def test_mac_pads_short_files(tmp_path, capsys):
     assert out == out2
 
 
-def test_mac_rejects_bad_inputs(capsys):
-    assert run(capsys, "mac", "--key", "123", "--hex", "00")[0] == 2
-    assert run(capsys, "mac", "--key", "X" * 16, "--hex", "00")[0] == 2
-    assert run(capsys, "mac", "--key", KEY, "--hex", "0")[0] == 2
-    assert run(capsys, "mac", "--key", KEY, "--hex", "GG")[0] == 2
-    assert run(capsys, "mac", "--key", KEY, "--hex", "")[0] == 2
-    assert run(capsys, "mac", "--key", KEY, "--input", "/no/such/file")[0] == 2
-    _, _, err = run(capsys, "mac", "--key", KEY, "--hex", "")
-    assert "error:" in err
+def test_mac_rejects_bad_inputs(tmp_path, capsys):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    too_long = tmp_path / "too_long.bin"
+    too_long.write_bytes(bytes(4 * MESSAGE_BLOCK_LIMIT + 1))
+    cases = [
+        (("--key", "123", "--hex", "00"), "wants 16 hex digits"),
+        (("--key", "X" * 16, "--hex", "00"), "--key is not hex"),
+        (("--key", KEY, "--hex", "0"), "even number of digits"),
+        (("--key", KEY, "--hex", "GG"), "--hex is not hex"),
+        (("--key", KEY, "--hex", ""), "empty message"),
+        (("--key", KEY, "--input", "/no/such/file"), "cannot read"),
+        (("--key", KEY, "--input", str(tmp_path)), "cannot read"),
+        (("--key", KEY, "--input", str(empty)), "empty message"),
+        (("--key", KEY, "--input", str(too_long)),
+         f"exceeds the {MESSAGE_BLOCK_LIMIT}-block limit"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, "mac", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and message in err, (argv, err)
+
+
+def _three_macs(tmp_path, capsys, nbytes):
+    """MAC of one random file by `maa mac`, by the gate core's
+    mac_message, and from the last line of `maa trace`."""
+    payload = random.Random(nbytes).randbytes(nbytes)
+    path = tmp_path / "msg.bin"
+    path.write_bytes(payload)
+    code, out, _ = run(capsys, "mac", "--key", KEY, "--input", str(path))
+    assert code == 0
+    key = maacore.Key.from_hex(KEY[:8], KEY[8:])
+    gate = maacore.mac_message(key, payload).hex()
+    code, trace, _ = run(capsys, "trace", "--key", KEY, "--input", str(path))
+    assert code == 0
+    return out.strip(), gate, trace.splitlines()[-1].removeprefix("MAC ")
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 7, 29, 4 * 255 - 1, 4 * 256 + 3,
+                                    4 * 512 + 2])
+def test_mac_file_matches_gate_core_and_trace(tmp_path, capsys, nbytes):
+    # unaligned files of 1-8 and of 255-513 blocks, across the segment
+    # boundary: the native byte path against the gate core's
+    cli_mac, gate_mac, trace_mac = _three_macs(tmp_path, capsys, nbytes)
+    assert cli_mac == gate_mac == trace_mac
+
+
+def test_differential_catches_a_left_padding_mutant(tmp_path, capsys,
+                                                    monkeypatch):
+    words = nativecore.words
+
+    def left_padded(chunks):
+        data = b"".join(chunks)
+        cut = len(data) - len(data) % 4
+        yield from words([data[:cut]])
+        if cut < len(data):
+            yield int.from_bytes(data[cut:], "big")
+
+    monkeypatch.setattr(nativecore, "words", left_padded)
+    for nbytes in (1, 4 * 256 + 3):
+        with pytest.raises(AssertionError):
+            test_mac_file_matches_gate_core_and_trace(tmp_path, capsys, nbytes)
 
 
 def test_trace_shows_registers_and_mac(capsys):

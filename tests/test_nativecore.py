@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maa import kat, maacore, maaops, nativecore
-from maa.maacore import EmptyMessageError, Key, MessageLimitError
+from maa.maacore import (
+    EmptyMessageError, Key, MessageLimitError, SEGMENT_BLOCKS, message_blocks,
+)
 from maa.wordcore import Block
 
 words = st.integers(0, 0xFFFFFFFF)
@@ -96,6 +98,58 @@ def test_error_paths():
     for j, k in ((2**40, 2), (2**32, 0), (0, -1)):
         with pytest.raises(ValueError):
             nativecore.mac_values(j, k, [1])
+    # and so are block values outside 32 bits
+    for values in ([2**40, -5], [-1], [2**32], [0] * 300 + [2**32]):
+        with pytest.raises(ValueError):
+            nativecore.mac_values(1, 2, values)
+
+
+@given(st.binary(min_size=1, max_size=64), st.lists(st.integers(0, 64)))
+def test_words_match_message_blocks(payload, cuts):
+    # any split into chunks, 1-byte and empty chunks included, gives the
+    # gate core's padded blocks
+    cuts = sorted(c % (len(payload) + 1) for c in cuts)
+    chunks = [payload[a:b] for a, b in zip([0, *cuts], [*cuts, len(payload)])]
+    assert list(nativecore.words(chunks)) == \
+        [b.value for b in message_blocks(payload)]
+    assert list(nativecore.words([payload[i:i + 1]
+                                  for i in range(len(payload))])) == \
+        list(nativecore.words([payload]))
+
+
+@pytest.mark.parametrize("limit", [1, 255, 256, 257, 513])
+def test_streamed_limit_is_exact(limit):
+    payload = bytes(range(251)) * (4 * limit // 251 + 1)
+
+    def chunks(n):
+        return (payload[i:min(i + 1000, n)] for i in range(0, n, 1000))
+
+    want = nativecore.mac_values(
+        1, 2, [b.value for b in message_blocks(payload[:4 * limit - 1])])
+    assert nativecore.mac_values(1, 2, nativecore.words(chunks(4 * limit - 1)),
+                                 limit=limit) == want
+    with pytest.raises(MessageLimitError):
+        nativecore.mac_values(1, 2, nativecore.words(chunks(4 * limit + 1)),
+                              limit=limit)
+
+
+@pytest.mark.parametrize("limit", [1, 256, 300])
+def test_limit_stops_reading_an_endless_stream(limit):
+    chunk = 1001
+    bound = 4 * (limit + SEGMENT_BLOCKS) + chunk
+    pulled = 0
+
+    def endless():
+        # ends only well past the bound, so a path that ignores the
+        # limit returns a MAC instead of raising
+        nonlocal pulled
+        while pulled < 10 * bound:
+            pulled += chunk
+            yield bytes(chunk)
+
+    with pytest.raises(MessageLimitError):
+        nativecore.mac_values(1, 2, nativecore.words(endless()), limit=limit)
+    assert pulled <= bound
 
 
 def _mul1_without_end_around_carry(a, b):
