@@ -6,13 +6,16 @@ parse errors).
 """
 
 import argparse
+import os
 import random
+import stat
 import sys
 import time
 
 from . import kat, nativecore
 from .maacore import (
-    EmptyMessageError, Key, MacStream, MessageLimitError, message_blocks,
+    EmptyMessageError, Key, MESSAGE_BLOCK_LIMIT, MacStream, MessageLimitError,
+    _limit_error, message_blocks,
 )
 from .wordcore import Block
 
@@ -39,8 +42,8 @@ def _parse_key(text):
 
 
 def _chunks(args):
-    """The message as byte chunks: --hex in one, --input as the file is
-    read, _CHUNK_BYTES at a time."""
+    """The message as byte chunks: --hex in one, --input _CHUNK_BYTES at
+    a time, once a regular file's size shows it is within the limit."""
     if args.hex_data is not None:
         t = "".join(args.hex_data.split())
         if len(t) % 2:
@@ -52,6 +55,10 @@ def _chunks(args):
         return
     try:
         with open(args.input, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if (stat.S_ISREG(st.st_mode)
+                    and (st.st_size + 3) // 4 > MESSAGE_BLOCK_LIMIT):
+                raise _UsageError(str(_limit_error(MESSAGE_BLOCK_LIMIT)))
             while chunk := fh.read(_CHUNK_BYTES):
                 yield chunk
     except OSError as e:

@@ -10,10 +10,15 @@ The carry folds are written out literally, step for step, rather than as
 % reductions: a remainder would agree with the fold almost everywhere
 but may pick the other representative of a degenerate residue, and the
 published vectors pin the fold's pick.
+
+main_loop, coda and mac_values share one inlined main-loop body, _fold;
+loop_trace is a separate, instrumented copy.  BYT and PAT are table
+lookups on the eight key bytes.
 """
 
 import struct
 from itertools import islice
+from operator import attrgetter
 
 from .maacore import (
     EmptyMessageError, MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS, _limit_error,
@@ -32,36 +37,24 @@ def cyc(w):
     return (w << 1 | w >> 31) & MASK32
 
 
-def fix1(w):
-    return (w | FIX1_OR) & FIX1_AND
-
-
-def fix2(w):
-    return (w | FIX2_OR) & FIX2_AND
-
-
-def _bytes_of(w1, w2):
-    return ((w1 >> 24) & 0xFF, (w1 >> 16) & 0xFF, (w1 >> 8) & 0xFF, w1 & 0xFF,
-            (w2 >> 24) & 0xFF, (w2 >> 16) & 0xFF, (w2 >> 8) & 0xFF, w2 & 0xFF)
+# BYT adjusts only 0x00 and 0xFF bytes: PAT digit "1", byte mask 0xFF
+_PAT_DIGIT = b"".join(b"1" if b in (0x00, 0xFF) else b"0" for b in range(256))
+_FLAGGED = bytes(0xFF if b in (0x00, 0xFF) else 0x00 for b in range(256))
+# _PREFIXES[p]: the bytes p >> 7, ..., p >> 0 as one 64-bit int
+_PREFIXES = [int.from_bytes(bytes(p >> (7 - j) for j in range(8)), "big")
+             for p in range(256)]
 
 
 def pat(w1, w2):
-    p = 0
-    for b in _bytes_of(w1, w2):
-        p = p << 1 | (b == 0x00 or b == 0xFF)
-    return p
+    return int((w1 << 32 | w2).to_bytes(8, "big").translate(_PAT_DIGIT), 2)
 
 
 def byt(w1, w2):
-    p = pat(w1, w2)
-    out = []
-    for j, b in enumerate(_bytes_of(w1, w2)):
-        if b == 0x00 or b == 0xFF:
-            b ^= p >> (7 - j) & 0xFF
-        out.append(b)
-    a = out[0] << 24 | out[1] << 16 | out[2] << 8 | out[3]
-    b = out[4] << 24 | out[5] << 16 | out[6] << 8 | out[7]
-    return a, b
+    pair = w1 << 32 | w2
+    raw = pair.to_bytes(8, "big")
+    flagged = int.from_bytes(raw.translate(_FLAGGED), "big")
+    out = pair ^ _PREFIXES[int(raw.translate(_PAT_DIGIT), 2)] & flagged
+    return out >> 32, out & MASK32
 
 
 def mul1(a, b):
@@ -140,14 +133,27 @@ def prelude(j, k):
     return x0, y0, v0, w, s, t
 
 
+def _fold(x, y, v, w, blocks):
+    """Main-loop iterations over blocks; returns (x, y, v)."""
+    or1, and1, or2, and2 = FIX1_OR, FIX1_AND, FIX2_OR, FIX2_AND
+    for m in blocks:
+        v = (v << 1 | v >> 31) & MASK32
+        e = v ^ w
+        xm = x ^ m
+        ym = y ^ m
+        # MUL1(xm, FIX1(ym + e)); and1 < 2**32 also masks the sum
+        p = xm * ((ym + e | or1) & and1)
+        s = (p >> 32) + (p & MASK32)
+        x = ((s & MASK32) + (s >> 32)) & MASK32
+        # MUL2A(ym, FIX2(xm + e))
+        p = ym * ((xm + e | or2) & and2)
+        f = ((p >> 32 << 1) & MASK32) + (p & MASK32)
+        y = ((f & MASK32) + 2 * (f >> 32)) & MASK32
+    return x, y, v
+
+
 def main_loop(x, y, v, w, block):
-    v = cyc(v)
-    e = v ^ w
-    xm = x ^ block
-    ym = y ^ block
-    x2 = mul1(xm, fix1((ym + e) & MASK32))
-    y2 = mul2a(ym, fix2((xm + e) & MASK32))
-    return x2, y2, v
+    return _fold(x, y, v, w, (block,))
 
 
 def loop_trace(x, y, v, w, block, masks=(FIX1_OR, FIX1_AND, FIX2_OR, FIX2_AND)):
@@ -169,8 +175,7 @@ def loop_trace(x, y, v, w, block, masks=(FIX1_OR, FIX1_AND, FIX2_OR, FIX2_AND)):
 
 
 def coda(x, y, v, w, s, t):
-    x, y, v = main_loop(x, y, v, w, s)
-    x, y, _ = main_loop(x, y, v, w, t)
+    x, y, _ = _fold(x, y, v, w, (s, t))
     return x ^ y
 
 
@@ -182,22 +187,19 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
     is range-checked as a whole before it runs.
     """
     x0, y0, v0, w, s, t = prelude(j, k)
-    segment = SEGMENT_BLOCKS
     it = iter(values)
     count = 0
     z = None
-    while seg := list(islice(it, segment)):
+    while seg := list(islice(it, SEGMENT_BLOCKS)):
         count += len(seg)
         if count > limit:
             raise _limit_error(limit)
         if min(seg) < 0 or max(seg) > MASK32:
             raise ValueError(f"block values must be 32-bit words, got "
                              f"{min(seg):#x} to {max(seg):#x}")
-        x, y, v = x0, y0, v0
         if z is not None:
-            x, y, v = main_loop(x, y, v, w, z)
-        for m in seg:
-            x, y, v = main_loop(x, y, v, w, m)
+            seg.insert(0, z)
+        x, y, v = _fold(x0, y0, v0, w, seg)
         z = coda(x, y, v, w, s, t)
     if z is None:
         raise EmptyMessageError("no blocks; the MAC of an empty message is "
@@ -221,5 +223,5 @@ def words(chunks):
 
 def native_mac(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
     """Block-typed front door, bit-identical to the gate-level stream."""
-    z = mac_values(key.J.value, key.K.value, (b.value for b in blocks), limit)
-    return Block.from_int(z)
+    values = map(attrgetter("value"), blocks)
+    return Block.from_int(mac_values(key.J.value, key.K.value, values, limit))

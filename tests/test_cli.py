@@ -72,6 +72,23 @@ def test_mac_rejects_bad_inputs(tmp_path, capsys):
         assert err.startswith("error: ") and message in err, (argv, err)
 
 
+def test_over_limit_file_is_refused_unread(tmp_path, capsys, monkeypatch):
+    # a regular file's size is known at open, so not one block of an
+    # over-limit file reaches the MAC
+    too_long = tmp_path / "too_long.bin"
+    too_long.write_bytes(bytes(4 * MESSAGE_BLOCK_LIMIT + 1))
+
+    def mac_no_block(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
+        for _ in values:
+            raise AssertionError("a block of the over-limit file was MAC'd")
+
+    monkeypatch.setattr(nativecore, "mac_values", mac_no_block)
+    code, out, err = run(capsys, "mac", "--key", KEY,
+                         "--input", str(too_long))
+    assert (code, out) == (2, "")
+    assert err == f"error: {maacore._limit_error(MESSAGE_BLOCK_LIMIT)}\n"
+
+
 def _three_macs(tmp_path, capsys, nbytes):
     """MAC of one random file by `maa mac`, by the gate core's
     mac_message, and from the last line of `maa trace`."""

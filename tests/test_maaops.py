@@ -1,5 +1,7 @@
 """Word-level MAA operations: published vectors plus algebraic laws."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,11 @@ from maa.maaops import (
 from maa.wordcore import Block, Octet
 
 words = st.integers(0, 0xFFFFFFFF)
+# words built from bytes at BYT's edges (00 and FF are the bytes it
+# adjusts) as often as from any byte
+edge_words = st.lists(st.sampled_from([0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF])
+                      | st.integers(0, 0xFF), min_size=4, max_size=4).map(
+    lambda bs: int.from_bytes(bytes(bs), "big"))
 
 B = Block.from_hex
 
@@ -84,12 +91,32 @@ def test_addc_splits_the_sum(a, b):
     assert r.w1.value * 2**32 + r.w2.value == a + b
 
 
-@given(words, words)
+@given(edge_words, edge_words)
 def test_pat_byt_match_native(a, b):
     wa, wb = Block.from_int(a), Block.from_int(b)
     assert pat(wa, wb).value == nativecore.pat(a, b)
     u, l = byt(wa, wb)
     assert (u.value, l.value) == nativecore.byt(a, b)
+
+
+def test_pat_byt_match_native_on_every_pattern():
+    """Each of the 256 patterns of 00/FF bytes, against the native tables.
+
+    BYT's 00 and FF bytes are the degenerate operands of MAA's
+    multiplications (Preneel, Rijmen and van Oorschot, "A security
+    analysis of the MAA", Eur. Trans. Telecomm. 8(5), 1997), and
+    uniform words hold one in only about 6% of pairs.  Here a flagged
+    byte is 00 or FF and every other byte is from 01..FE.
+    """
+    rng = random.Random(8731)
+    for p in range(256):
+        raw = bytes(rng.choice((0x00, 0xFF)) if p >> (7 - j) & 1
+                    else rng.randint(0x01, 0xFE) for j in range(8))
+        a, b = int.from_bytes(raw[:4], "big"), int.from_bytes(raw[4:], "big")
+        wa, wb = Block.from_int(a), Block.from_int(b)
+        assert pat(wa, wb).value == nativecore.pat(a, b) == p
+        u, l = byt(wa, wb)
+        assert (u.value, l.value) == nativecore.byt(a, b)
 
 
 @given(words, words)

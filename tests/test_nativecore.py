@@ -1,5 +1,7 @@
 """The integer core against the published vectors and the gate core."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,38 @@ def test_mac_matches_gate_across_a_boundary():
         == want
 
 
+# words at the multiplications' edges, mixed into the segment tests
+EDGE_VALUES = (0x00000000, 0x00000001, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE,
+               0xFFFFFFFF)
+
+
+def _traced_mac(j, k, values):
+    """mac_values rebuilt from loop_trace: each segment starts from the
+    prelude, absorbs the previous segment's MAC, then runs the coda."""
+    x0, y0, v0, w, s, t = nativecore.prelude(j, k)
+    z = None
+    for i in range(0, len(values), SEGMENT_BLOCKS):
+        head = [] if z is None else [z]
+        x, y, v = x0, y0, v0
+        for m in head + values[i:i + SEGMENT_BLOCKS] + [s, t]:
+            regs = nativecore.loop_trace(x, y, v, w, m)
+            x, y, v = regs["Xp"], regs["Yp"], regs["Vp"]
+        z = x ^ y
+    return z
+
+
+@pytest.mark.parametrize("length", [1, 2, 255, 256, 257, 512, 513, None])
+@given(j=words, k=words, data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_mac_values_matches_loop_trace_across_segments(length, j, k, data):
+    # None draws a random length; a quarter of the blocks are edge words
+    n = length or data.draw(st.integers(1, 600))
+    rng = data.draw(st.randoms(use_true_random=False))
+    values = [rng.choice(EDGE_VALUES) if rng.getrandbits(2) == 0
+              else rng.getrandbits(32) for _ in range(n)]
+    assert nativecore.mac_values(j, k, values) == _traced_mac(j, k, values)
+
+
 def test_error_paths():
     with pytest.raises(EmptyMessageError):
         nativecore.mac_values(1, 2, [])
@@ -163,8 +197,13 @@ def _mul1_without_end_around_carry(a, b):
     ("SEGMENT_BLOCKS", 255),
     ("SEGMENT_BLOCKS", 257),
     ("byt", lambda a, b: (a, b)),
+    ("FIX1_OR", 0),
+    ("FIX1_AND", nativecore.MASK32),
+    ("FIX2_OR", 0),
+    ("FIX2_AND", nativecore.MASK32),
 ], ids=["mul1-no-carry", "mul2-is-mul2a", "segment-255", "segment-257",
-        "byt-identity"])
+        "byt-identity", "no-fix1-or", "no-fix1-and", "no-fix2-or",
+        "no-fix2-and"])
 def test_corpus_catches_one_line_mutants(monkeypatch, name, mutant):
     # the corpus must not pass vacuously: each mutant of the native core
     # has to fail at least one check
