@@ -11,11 +11,12 @@ import random
 import stat
 import sys
 import time
+from itertools import chain
 
 from . import kat, nativecore
 from .maacore import (
     EmptyMessageError, Key, MESSAGE_BLOCK_LIMIT, MacStream, MessageLimitError,
-    _limit_error, message_blocks,
+    _limit_error,
 )
 from .wordcore import Block
 
@@ -78,10 +79,10 @@ def cmd_mac(args):
 
 def cmd_trace(args):
     key = _parse_key(args.key)
-    try:
-        blocks = message_blocks(b"".join(_chunks(args)))
-    except EmptyMessageError as e:
-        raise _UsageError(str(e))
+    values = nativecore.words(_chunks(args))
+    first = next(values, None)
+    if first is None:
+        raise _UsageError("message must contain at least one byte")
     stream = MacStream(key)
     x0, y0, v0, w, s, t = stream.prelude
     print(f"key    J={key.J.hex()} K={key.K.hex()}")
@@ -89,7 +90,7 @@ def cmd_trace(args):
           f"W={w.hex()} S={s.hex()} T={t.hex()}")
     print(f"{'n':>6}  {'block':8}  {'X':8}  {'Y':8}  {'V':8}  {'Z':8}")
     try:
-        for block in blocks:
+        for block in map(Block.from_int, chain((first,), values)):
             x, y, v = stream.push(block)
             print(f"{stream.total_blocks:>6}  {block.hex()}  {x.hex()}"
                   f"  {y.hex()}  {v.hex()}  {stream.mac().hex()}")
@@ -102,19 +103,16 @@ def cmd_trace(args):
 def cmd_selftest(args):
     suite = _SUITE_FLAGS[args.suite]
     suites = kat.SUITES if suite == "ALL" else (suite,)
+    cores = kat._CORES if args.core == "both" else (args.core,)
     failures = []
     total = 0
     for s in suites:
-        report = kat.run_suite(s, args.core)
-        total += len(report.checks)
-        failures.extend(report.failures())
-        by_core = {}
-        for c in report.checks:
-            by_core.setdefault(c.core, [0, 0])
-            by_core[c.core][c.ok is False] += 1
-        for core_name, (good, bad) in by_core.items():
-            tag = "ok" if bad == 0 else f"{bad} FAILED"
-            print(f"{s:8} {core_name:7} {good}/{good + bad} {tag}")
+        for core in cores:
+            report = kat.run_suite(s, core)
+            total += len(report.checks)
+            failures.extend(report.failures())
+            tag = "ok" if report.failed == 0 else f"{report.failed} FAILED"
+            print(f"{s:8} {core:7} {report.passed}/{len(report.checks)} {tag}")
         for note in report.notes:
             print(f"note: {note}")
     for c in failures:
@@ -147,8 +145,7 @@ class _ScenarioRun:
     A file that ends with queued expects gets one implicit final cycle.
     """
 
-    def __init__(self, out=None):
-        self.out = out or sys.stdout
+    def __init__(self):
         self.key = None
         self.stream = None
         self.block = None
@@ -213,22 +210,20 @@ class _ScenarioRun:
             _scenario_error(line_no, "cycle before block")
         if self.stream is None:
             self.stream = MacStream(self.key)
-        try:
-            for _ in range(count):
-                x, y, v = self.stream.push(self.block)
-        except MessageLimitError as e:
-            _scenario_error(line_no, str(e))
+        if self.stream.total_blocks + count > self.stream.limit:
+            _scenario_error(line_no, str(_limit_error(self.stream.limit)))
+        for _ in range(count):
+            x, y, v = self.stream.push(self.block)
         regs = {"X": x, "Y": y, "V": v}
         for at, reg, want in self.pending:
             got = regs[reg] if reg != "Z" else self.stream.mac()
             if got == want:
                 self.passed += 1
-                print(f"line {at}: expect {reg} {want.hex()} ok",
-                      file=self.out)
+                print(f"line {at}: expect {reg} {want.hex()} ok")
             else:
                 self.failed += 1
                 print(f"line {at}: expect {reg} {want.hex()} FAILED "
-                      f"(got {got.hex()})", file=self.out)
+                      f"(got {got.hex()})")
         self.pending.clear()
 
 

@@ -174,11 +174,13 @@ def coda(x, y, v, w, s, t):
 class MacStream:
     """Per-block MAC computation with the segmented mode of operation.
 
-    push() absorbs one block and returns the registers (x, y, v); mac()
-    is the MAC of everything pushed so far.  Every push after a multiple
-    of SEGMENT_BLOCKS starts a new segment: the previous segment's MAC is
-    absorbed first, with the registers restarted from their prelude
-    values.  The key is consulted only at construction.
+    The stream is the synchronous node of the algorithm: its state is the
+    prelude, the registers (x, y, v) and the count of blocks pushed.
+    push() absorbs one block and returns the registers; mac() is the MAC
+    of everything pushed so far.  At every nonzero multiple of
+    SEGMENT_BLOCKS a new segment starts: the registers restart from
+    (X0, Y0, V0) and absorb the previous segment's MAC before the block.
+    The key is consulted only at construction.
     """
 
     def __init__(self, key, limit=MESSAGE_BLOCK_LIMIT):
@@ -186,10 +188,7 @@ class MacStream:
             raise ValueError("block limit must be at least 1")
         self.limit = limit
         self.prelude = prelude(key)
-        self.X = None
-        self.Y = None
-        self.V = None
-        self.last_z = None
+        self._regs = self.prelude[:3]
         self.total_blocks = 0
 
     def push(self, block):
@@ -198,27 +197,19 @@ class MacStream:
         if self.total_blocks >= self.limit:
             raise _limit_error(self.limit)
         x0, y0, v0, w, _, _ = self.prelude
-        if self.total_blocks == 0:
-            x, y, v = main_loop(x0, y0, v0, w, block)
-        elif self.total_blocks % SEGMENT_BLOCKS == 0:
-            x, y, v = main_loop(x0, y0, v0, w, self.mac())
-            x, y, v = main_loop(x, y, v, w, block)
-        else:
-            x, y, v = main_loop(self.X, self.Y, self.V, w, block)
-        self.X, self.Y, self.V = x, y, v
-        self.last_z = None
+        if self.total_blocks and self.total_blocks % SEGMENT_BLOCKS == 0:
+            self._regs = main_loop(x0, y0, v0, w, self.mac())
+        self._regs = main_loop(*self._regs, w, block)
         self.total_blocks += 1
-        return x, y, v
+        return self._regs
 
     def mac(self):
-        """MAC of all blocks pushed so far; at most one coda per push."""
+        """MAC of all blocks pushed so far."""
         if self.total_blocks == 0:
             raise EmptyMessageError("no blocks pushed; the MAC of an empty "
                                     "message is undefined")
-        if self.last_z is None:
-            _, _, _, w, s, t = self.prelude
-            self.last_z = coda(self.X, self.Y, self.V, w, s, t)
-        return self.last_z
+        _, _, _, w, s, t = self.prelude
+        return coda(*self._regs, w, s, t)
 
 
 def mac_blocks(key, blocks, limit=MESSAGE_BLOCK_LIMIT):

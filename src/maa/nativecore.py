@@ -37,12 +37,13 @@ def cyc(w):
     return (w << 1 | w >> 31) & MASK32
 
 
-# BYT adjusts only 0x00 and 0xFF bytes: PAT digit "1", byte mask 0xFF
+# BYT adjusts only 0x00 and 0xFF bytes: PAT digit "1"
 _PAT_DIGIT = b"".join(b"1" if b in (0x00, 0xFF) else b"0" for b in range(256))
-_FLAGGED = bytes(0xFF if b in (0x00, 0xFF) else 0x00 for b in range(256))
-# _PREFIXES[p]: the bytes p >> 7, ..., p >> 0 as one 64-bit int
-_PREFIXES = [int.from_bytes(bytes(p >> (7 - j) for j in range(8)), "big")
-             for p in range(256)]
+# _ADJUST[p]: BYT's XOR mask for pattern p.  Byte j of the pair (0 the
+# most significant) is adjusted iff bit 7 - j of p is set, by p >> (7 - j).
+_ADJUST = [int.from_bytes(bytes(p >> (7 - j) if p >> (7 - j) & 1 else 0
+                                for j in range(8)), "big")
+           for p in range(256)]
 
 
 def pat(w1, w2):
@@ -50,10 +51,7 @@ def pat(w1, w2):
 
 
 def byt(w1, w2):
-    pair = w1 << 32 | w2
-    raw = pair.to_bytes(8, "big")
-    flagged = int.from_bytes(raw.translate(_FLAGGED), "big")
-    out = pair ^ _PREFIXES[int(raw.translate(_PAT_DIGIT), 2)] & flagged
+    out = (w1 << 32 | w2) ^ _ADJUST[pat(w1, w2)]
     return out >> 32, out & MASK32
 
 

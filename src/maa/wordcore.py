@@ -13,6 +13,7 @@ lookup-table reuse; each table entry is still computed once through the
 full gate construction.
 """
 
+import re
 from functools import cache
 from typing import NamedTuple
 
@@ -73,10 +74,6 @@ class Octet:
             raise ValueError(f"octet value out of range: {v}")
         return _OCTETS[v]
 
-    @classmethod
-    def from_hex(cls, s):
-        return cls.from_int(_parse_hex(s, 2))
-
     def hex(self):
         return f"{self.value:02X}"
 
@@ -93,19 +90,45 @@ X01 = _OCTETS[0x01]
 XFF = _OCTETS[0xFF]
 
 
-def _parse_hex(s, width):
-    if len(s) != width:
-        raise ValueError(f"expected {width} hex digits, got {s!r}")
-    try:
-        return int(s, 16)
-    except ValueError:
-        raise ValueError(f"not a hex string: {s!r}") from None
+_HEX_WORD = re.compile("[0-9A-Fa-f]{8}")
 
 
-class Half:
+class _Word:
+    """What Half, Block and Pair share: hex at full width, equality and
+    hashing by type and value, and the range check of from_int.
+
+    Each subclass sets _BITS and keeps its own slots, constructor and
+    _split, which builds an instance from an in-range integer.  Octet
+    stays outside: its 256 instances are interned, and the memo tables
+    hash them by identity.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_int(cls, v):
+        if not 0 <= v < 1 << cls._BITS:
+            raise ValueError(f"{cls.__name__.lower()} value out of range: {v}")
+        return cls._split(v)
+
+    def hex(self):
+        return f"{self.value:0{self._BITS // 4}X}"
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.hex()})"
+
+
+class Half(_Word):
     """A 16-bit word as two octets, most significant first."""
 
     __slots__ = ("o1", "o2", "value")
+    _BITS = 16
 
     def __init__(self, o1, o2):
         self.o1 = o1
@@ -113,25 +136,11 @@ class Half:
         self.value = o1.value << 8 | o2.value
 
     @classmethod
-    def from_int(cls, v):
-        if not 0 <= v <= 0xFFFF:
-            raise ValueError(f"half value out of range: {v}")
+    def _split(cls, v):
         return cls(_OCTETS[v >> 8], _OCTETS[v & 0xFF])
 
-    def hex(self):
-        return f"{self.value:04X}"
 
-    def __eq__(self, other):
-        return isinstance(other, Half) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"Half({self.hex()})"
-
-
-class Block:
+class Block(_Word):
     """A 32-bit word as four octets, most significant first.
 
     The MAA's fundamental unit: message blocks, key halves, the working
@@ -139,6 +148,7 @@ class Block:
     """
 
     __slots__ = ("o1", "o2", "o3", "o4", "value")
+    _BITS = 32
 
     def __init__(self, o1, o2, o3, o4):
         self.o1 = o1
@@ -148,36 +158,26 @@ class Block:
         self.value = o1.value << 24 | o2.value << 16 | o3.value << 8 | o4.value
 
     @classmethod
-    def from_int(cls, v):
-        if not 0 <= v <= 0xFFFFFFFF:
-            raise ValueError(f"block value out of range: {v}")
+    def _split(cls, v):
         return cls(_OCTETS[v >> 24], _OCTETS[v >> 16 & 0xFF],
                    _OCTETS[v >> 8 & 0xFF], _OCTETS[v & 0xFF])
 
     @classmethod
     def from_hex(cls, s):
-        return cls.from_int(_parse_hex(s, 8))
-
-    def hex(self):
-        return f"{self.value:08X}"
+        """Exactly eight hex digits, either case, and nothing else."""
+        if not _HEX_WORD.fullmatch(s):
+            raise ValueError(f"expected 8 hex digits, got {s!r}")
+        return cls._split(int(s, 16))
 
     def octets(self):
         return (self.o1, self.o2, self.o3, self.o4)
 
-    def __eq__(self, other):
-        return isinstance(other, Block) and self.value == other.value
 
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"Block({self.hex()})"
-
-
-class Pair:
+class Pair(_Word):
     """A 64-bit word as two blocks: w1 holds the upper 32 bits, w2 the lower."""
 
     __slots__ = ("w1", "w2", "value")
+    _BITS = 64
 
     def __init__(self, w1, w2):
         self.w1 = w1
@@ -185,22 +185,8 @@ class Pair:
         self.value = w1.value << 32 | w2.value
 
     @classmethod
-    def from_int(cls, v):
-        if not 0 <= v <= 0xFFFFFFFFFFFFFFFF:
-            raise ValueError(f"pair value out of range: {v}")
-        return cls(Block.from_int(v >> 32), Block.from_int(v & 0xFFFFFFFF))
-
-    def hex(self):
-        return f"{self.value:016X}"
-
-    def __eq__(self, other):
-        return isinstance(other, Pair) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"Pair({self.hex()})"
+    def _split(cls, v):
+        return cls(Block._split(v >> 32), Block._split(v & 0xFFFFFFFF))
 
 
 class CarrySum(NamedTuple):

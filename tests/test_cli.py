@@ -57,6 +57,11 @@ def test_mac_rejects_bad_inputs(tmp_path, capsys):
     cases = [
         (("--key", "123", "--hex", "00"), "wants 16 hex digits"),
         (("--key", "X" * 16, "--hex", "00"), "--key is not hex"),
+        (("--key", "00FF00F 00000000", "--hex", "55555555AAAAAAAA"),
+         "--key is not hex"),
+        (("--key", "0x00FF000x000000", "--hex", "00"), "--key is not hex"),
+        (("--key", "00_FF_0000000000", "--hex", "00"), "--key is not hex"),
+        (("--key", "+0FF00FF00000000", "--hex", "00"), "--key is not hex"),
         (("--key", KEY, "--hex", "0"), "even number of digits"),
         (("--key", KEY, "--hex", "GG"), "--hex is not hex"),
         (("--key", KEY, "--hex", ""), "empty message"),
@@ -142,6 +147,21 @@ def test_trace_shows_registers_and_mac(capsys):
     assert lines[-1] == "MAC F14D6E28"
 
 
+def test_trace_prints_rows_before_the_input_ends(capsys, monkeypatch):
+    # trace streams: the rows of the first chunk are out before the
+    # second chunk is asked for
+    def one_chunk_then_fail(args):
+        yield bytes.fromhex("55555555AAAAAAAA")
+        raise cli._UsageError("read failed")
+
+    monkeypatch.setattr(cli, "_chunks", one_chunk_then_fail)
+    code, out, err = run(capsys, "trace", "--key", KEY, "--input", "x")
+    assert (code, err) == (2, "error: read failed\n")
+    rows = out.splitlines()[3:]
+    assert [r.split()[0] for r in rows] == ["1", "2"]
+    assert rows[-1].endswith("F14D6E28")
+
+
 def test_trace_z_matches_native_across_a_segment_boundary(capsys):
     # each row's Z is the MAC of the message so far; rows 257 and 258
     # come after the first segment's MAC has been absorbed
@@ -166,6 +186,30 @@ def test_selftest_single_suite(capsys):
     assert code == 0
     assert "T1       native  54/54 ok" in out
     assert "selftest: 54/54 checks passed" in out
+
+
+def test_selftest_both_prints_one_row_per_core(capsys):
+    code, out, _ = run(capsys, "selftest", "--suite", "t1", "--core", "both")
+    assert code == 0
+    assert out.splitlines() == [
+        "T1       gate    54/54 ok",
+        "T1       native  54/54 ok",
+        "note: T1: corpus splits the published rows into 54 checks "
+        "(the tables list 36)",
+        "selftest: 108/108 checks passed",
+    ]
+
+
+def test_selftest_reports_failures(capsys, monkeypatch):
+    monkeypatch.setattr(nativecore, "q", lambda p: 0)
+    code, out, _ = run(capsys, "selftest", "--suite", "t1",
+                       "--core", "native")
+    assert code == 1
+    lines = out.splitlines()
+    failed = [l for l in lines if l.startswith("FAIL native:T1/")]
+    assert failed and lines[0] == (f"T1       native  {54 - len(failed)}/54 "
+                                   f"{len(failed)} FAILED")
+    assert lines[-1] == f"selftest: {54 - len(failed)}/54 checks passed"
 
 
 def test_selftest_all_native(capsys):
@@ -249,6 +293,12 @@ def test_scenario_parse_errors(tmp_path, capsys):
         ("key 00FF00FF 00000000\nblock 55555555\ncycle zero\n", "line 3"),
         ("reset\n", "line 1: reset before key"),
         ("launch\n", "line 1: unknown command"),
+        ("key 0x00FF00 00000000\n", "line 1: J wants 8 hex digits"),
+        ("key 00FF00FF 00_00_00\n", "line 1: K wants 8 hex digits"),
+        ("key 00FF00FF 00000000\nblock +5555555\n",
+         "line 2: block wants 8 hex digits"),
+        ("key 00FF00FF 00000000\nblock 55555555\nexpect X 0x000000\n",
+         "line 3: X wants 8 hex digits"),
     ]
     for body, expected in cases:
         path = tmp_path / "case.scenario"
@@ -256,6 +306,21 @@ def test_scenario_parse_errors(tmp_path, capsys):
         code, _, err = run(capsys, "scenario", str(path))
         assert code == 2, body
         assert expected in err, (body, err)
+
+
+def test_scenario_refuses_an_over_limit_cycle_before_it_runs(
+        tmp_path, capsys, monkeypatch):
+    def no_cycle(*args):
+        raise AssertionError("a cycle ran")
+
+    monkeypatch.setattr(maacore, "main_loop", no_cycle)
+    path = tmp_path / "long.scenario"
+    path.write_text("key 00FF00FF 00000000\nblock 55555555\n"
+                    f"cycle {2 * MESSAGE_BLOCK_LIMIT}\n")
+    code, out, err = run(capsys, "scenario", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: scenario line 3: "
+                   f"{maacore._limit_error(MESSAGE_BLOCK_LIMIT)}\n")
 
 
 def test_scenario_missing_file(capsys):

@@ -29,7 +29,6 @@ def test_bit_adder_truth_table():
 def test_octet_interning():
     for v in range(256):
         assert Octet.from_int(v) is Octet.from_int(v)
-    assert Octet.from_hex("ff") is Octet.from_hex("FF")
     a = Octet.from_int(0xA5)
     assert Octet.from_bits(a.bits) is a
     assert a.hex() == "A5"
@@ -81,19 +80,27 @@ def test_octet_multiplier_edges():
         assert mul_octet(Octet.from_int(a), Octet.from_int(b)).value == a * b
 
 
+WORD_TYPES = ((Half, 16), (Block, 32), (Pair, 64))
+
+
 def test_hex_round_trips():
     assert Half.from_int(0xBEEF).hex() == "BEEF"
     assert Block.from_hex("DeadBeef").hex() == "DEADBEEF"
+    assert Block.from_hex("deadbeef") == Block.from_int(0xDEADBEEF)
     assert Pair.from_int(0x0123456789ABCDEF).hex() == "0123456789ABCDEF"
-    with pytest.raises(ValueError):
-        Block.from_hex("123")
-    with pytest.raises(ValueError):
-        Block.from_hex("123456789")
-    with pytest.raises(ValueError):
-        Block.from_hex("XYZWXYZW")
-    for cls, top in ((Half, 0xFFFF), (Pair, 2**64 - 1)):
+    for cls, bits in WORD_TYPES:
+        assert cls.from_int(0).hex() == "0" * (bits // 4)
+        assert cls.from_int(2**bits - 1).hex() == "F" * (bits // 4)
+        assert repr(cls.from_int(5)) == f"{cls.__name__}({5:0{bits // 4}X})"
+        for v in (-1, 2**bits):
+            with pytest.raises(ValueError, match="out of range"):
+                cls.from_int(v)
+    # exactly eight hex digits: no prefix, separator, sign or whitespace
+    for bad in ("123", "123456789", "XYZWXYZW", "0x00FF00", "00_FF_00",
+                "+00FF00F", " 00FF00F", "00FF00F ", "00FF00F\n",
+                "\u0660" * 8):
         with pytest.raises(ValueError):
-            cls.from_int(top + 1)
+            Block.from_hex(bad)
 
 
 def test_value_equality_and_hash():
@@ -103,6 +110,19 @@ def test_value_equality_and_hash():
     assert a != Block.from_int(6)
     assert a != 5
     assert Pair.from_int(7) == Pair(Block.from_int(0), Block.from_int(7))
+    assert Half.from_int(7) == Half(Octet.from_int(0), Octet.from_int(7))
+    for cls, _ in WORD_TYPES:
+        x, y = cls.from_int(0x1234), cls.from_int(0x1234)
+        assert x is not y and x == y and not x != y
+        assert hash(x) == hash(y)
+        assert x != cls.from_int(0x1235)
+        assert len({x, y, cls.from_int(0x1235)}) == 2
+        # equal values of different word types are different words
+        for other, _ in WORD_TYPES:
+            if other is not cls:
+                assert x != other.from_int(0x1234)
+    # octets are interned and the memo tables hash them by identity
+    assert Octet.__hash__ is object.__hash__
 
 
 def test_block_octet_structure():
