@@ -13,7 +13,7 @@ import sys
 import time
 from itertools import chain
 
-from . import kat, nativecore
+from . import kat, nativecore, wordcore
 from .maacore import (
     EmptyMessageError, Key, MESSAGE_BLOCK_LIMIT, MacStream, MessageLimitError,
     _limit_error,
@@ -253,6 +253,12 @@ def cmd_bench(args):
         print(f"{name:7} {args.blocks} blocks in {dt:.4f}s "
               f"({rate:,.0f} blocks/s)  MAC {z:08X}")
         macs.add(z)
+    for name, table in vars(wordcore).items():
+        if hasattr(table, "cache_info"):    # the gate core's memo tables
+            hits, misses, _, entries = table.cache_info()
+            print(f"memo    {name:15} {entries:6,} entries {hits:10,} hits "
+                  f"{misses:8,} misses  hit ratio "
+                  f"{hits / max(hits + misses, 1):.3f}")
     if len(macs) > 1:
         print("cores disagree", file=sys.stderr)
         return 1

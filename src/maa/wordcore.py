@@ -8,9 +8,12 @@ at the package boundary); no arithmetic result is ever produced by a native
 octet is its most significant bit, octet o1 of a block is its most
 significant byte.
 
-Pure single-octet operations are memoized.  Memoizing a pure function is
-lookup-table reuse; each table entry is still computed once through the
-full gate construction.
+Three tables below the octet level are built once, at import: the full
+adder's eight-row truth table, by calling add_bit and car_bit; the lookup
+from a bit pattern to its interned octet; and zero-extension of an octet
+to a half-word.  Only the pure single-octet operations are memoized per
+call.  Memoizing a pure function is lookup-table reuse; each table entry
+is still computed once through the full gate construction.
 """
 
 import re
@@ -48,6 +51,13 @@ def car_bit(a, b, c):
                   and_bit(or_bit(a, b), c))
 
 
+# _FULL_ADDER[a][b][c] is (sum, carry) of one full adder.
+_FULL_ADDER = tuple(tuple(tuple((add_bit(a, b, c), car_bit(a, b, c))
+                                for c in (ZERO, ONE))
+                          for b in (ZERO, ONE))
+                    for a in (ZERO, ONE))
+
+
 class Octet:
     """An 8-bit word held as a tuple of eight bits, most significant first.
 
@@ -63,10 +73,12 @@ class Octet:
 
     @classmethod
     def from_bits(cls, bits):
-        v = 0
-        for b in bits:
-            v = v << 1 | b
-        return _OCTETS[v]
+        """The interned octet of exactly eight bits, each 0 or 1."""
+        try:
+            return _BY_BITS[tuple(bits)]
+        except KeyError:
+            raise ValueError(f"expected eight bits of 0 or 1, got {bits!r}") \
+                from None
 
     @classmethod
     def from_int(cls, v):
@@ -84,6 +96,8 @@ class Octet:
 _OCTETS = tuple(
     Octet(tuple(v >> (7 - i) & 1 for i in range(8)), v) for v in range(256)
 )
+
+_BY_BITS = {o.bits: o for o in _OCTETS}
 
 X00 = _OCTETS[0x00]
 X01 = _OCTETS[0x01]
@@ -231,9 +245,8 @@ def add_octet_carry(a, b, cin=ZERO):
     bits = [ZERO] * 8
     carry = cin
     for i in range(7, -1, -1):
-        bits[i] = add_bit(a.bits[i], b.bits[i], carry)
-        carry = car_bit(a.bits[i], b.bits[i], carry)
-    return CarrySum(carry, Octet.from_bits(tuple(bits)))
+        bits[i], carry = _FULL_ADDER[a.bits[i]][b.bits[i]][carry]
+    return CarrySum(carry, Octet.from_bits(bits))
 
 
 def add_octet(a, b):
@@ -242,38 +255,36 @@ def add_octet(a, b):
 
 # ------------------------------------------------------- octet multiplication
 
-def _mul_octet_step(acc, hi, lo):
-    # Accumulates one shifted copy of the multiplicand; a carry out of the
-    # low octet feeds the high octet as +1.
-    o3 = add_octet(acc.o1, hi)
-    cs = add_octet_carry(acc.o2, lo, ZERO)
-    if cs.carry == ONE:
-        o3 = add_octet(o3, X01)
-    return Half(o3, cs.sum)
-
-
 @cache
 def mul_octet(a, b):
     """16-bit product by shift-and-add over the bits of a, MSB first.
 
-    Bit i of a (i = 0 is the MSB) contributes b << (7 - i), presented to
-    the accumulator as a high/low octet pair.
+    Bit i of a (i = 0 is the MSB) contributes b << (7 - i): with eight
+    ZEROs on each side of b's bits, the sixteen bits from position 7 - i
+    on, taken as a high and a low octet.  A carry out of the accumulator's
+    low octet feeds its high octet as +1.
     """
-    acc = Half(X00, X00)
-    for i in range(7):
+    wide = X00.bits + b.bits + X00.bits
+    hi = lo = X00
+    for i in range(8):
         if a.bits[i] == ONE:
-            acc = _mul_octet_step(acc, shift_octet(b, i + 1, "right"),
-                                  shift_octet(b, 7 - i, "left"))
-    if a.bits[7] == ONE:
-        acc = _mul_octet_step(acc, X00, b)
-    return acc
+            hi = add_octet(hi, Octet.from_bits(wide[7 - i:15 - i]))
+            cs = add_octet_carry(lo, Octet.from_bits(wide[15 - i:23 - i]),
+                                 ZERO)
+            if cs.carry == ONE:
+                hi = add_octet(hi, X01)
+            lo = cs.sum
+    return Half(hi, lo)
 
 
 # ------------------------------------------------------ half-word arithmetic
 
+_HALVES = tuple(Half(X00, o) for o in _OCTETS)
+
+
 def half_from_octet(o):
     """Zero-extend an octet to a half-word."""
-    return Half(X00, o)
+    return _HALVES[o.value]
 
 
 def add_half_carry(a, b):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from maa import cli, maacore, nativecore
+from maa import cli, maacore, nativecore, wordcore
 from maa.maacore import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS
 
 KEY = "00FF00FF" "00000000"
@@ -334,6 +334,13 @@ def test_bench(capsys):
     assert len(lines) == 2
     macs = {l.split()[-1] for l in lines}
     assert len(macs) == 1    # both cores agree
+    memo = {l.split()[1]: l.split() for l in out.splitlines()
+            if l.startswith("memo ")}
+    tables = [n for n, f in vars(wordcore).items() if hasattr(f, "cache_info")]
+    assert tables and sorted(memo) == sorted(tables)
+    for fields in memo.values():    # memo NAME N entries H hits M misses ...
+        hits, misses = (int(fields[i].replace(",", "")) for i in (4, 6))
+        assert hits + misses > 0
     assert run(capsys, "bench", "--blocks", "0")[0] == 2
 
 

@@ -33,6 +33,10 @@ def test_octet_interning():
     assert Octet.from_bits(a.bits) is a
     assert a.hex() == "A5"
     assert a.bits[0] == 1 and a.bits[7] == 1 and a.bits[1] == 0
+    assert Octet.from_bits(list(a.bits)) is a
+    for bad in ((1,) * 7, (0,) * 7 + (2,), (1,) * 9):
+        with pytest.raises(ValueError):
+            Octet.from_bits(bad)
 
 
 def test_octet_logic_exhaustive():
@@ -132,6 +136,10 @@ def test_block_octet_structure():
     assert lower_half(w).hex() == "0304"
     assert block_from_half(lower_half(w)).hex() == "00000304"
     assert half_from_octet(Octet.from_int(9)).hex() == "0009"
+    for v in range(256):
+        o = Octet.from_int(v)
+        assert half_from_octet(o) == Half(Octet.from_int(0), o)
+        assert half_from_octet(o) is half_from_octet(o)
 
 
 @given(halves, halves)
