@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a check or comparison failed, 2 bad usage or
 bad input (malformed hex, unreadable file, empty message, scenario
-parse errors).
+parse errors), 141 the reader closed stdout before the output ended
+(128 + SIGPIPE, as a filter killed by the signal reports).
 """
 
 import argparse
@@ -307,10 +308,18 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # keep the interpreter's last flush of stdout quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ or both, and compares every requested output.
 One runner serves every core through nativecore's int signatures: the
 native adapter is the nativecore module itself, and the gate adapter
 converts ints to Blocks and back.  A new core is one more adapter in
-_CORES, and `maa selftest --core` lists it.
+_CORES, and `maa selftest --core` lists it.  A new op is one more entry
+in _OPS: its input names, its output names and its run on an adapter.
 
 Suites:
 
@@ -23,6 +24,7 @@ Suites:
 """
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
 
@@ -52,37 +54,6 @@ _PRELUDE_KEYS = ("x0", "y0", "v0", "w", "s", "t")
 # FULL_2BLOCK's names for the per-step registers that _chain records
 _TWO_BLOCK_KEYS = {"x": "x01", "y": "y01", "xp": "x02", "yp": "y02",
                    "xpp": "cx1", "ypp": "cy1", "xppp": "cx2", "yppp": "cy2"}
-
-_REQUIRED_IN = {
-    "MUL1": frozenset(("a", "b")),
-    "MUL2": frozenset(("a", "b")),
-    "MUL2A": frozenset(("a", "b")),
-    "PAT": frozenset(("a", "b")),
-    "BYT": frozenset(("a", "b")),
-    "PRELUDE_CHAIN": frozenset(("j1", "k1", "p")),
-    "PRELUDE": frozenset(("j", "k")),
-    "LOOP_TRACE": frozenset(("a", "b", "c", "d", "x0", "y0", "v", "w", "m")),
-    "FULL_2BLOCK": frozenset(("j", "k", "m1", "m2")),
-    "CHAIN_TRACE": frozenset(("j", "k", "init", "incr", "count")),
-    "LONG_MAC": frozenset(("j", "k", "init", "incr", "count")),
-}
-
-_ALLOWED_OUT = {
-    "MUL1": frozenset(("w",)),
-    "MUL2": frozenset(("w",)),
-    "MUL2A": frozenset(("w",)),
-    "PAT": frozenset(("p",)),
-    "BYT": frozenset(("u", "l")),
-    "PRELUDE_CHAIN": frozenset(
-        tuple(f.lower() for f in _CHAIN_FIELDS) + ("qp",)),
-    "PRELUDE": frozenset(("x0", "y0", "v0", "w", "s", "t")),
-    "LOOP_TRACE": frozenset(_TRACE_KEYS),
-    "FULL_2BLOCK": frozenset(("p", "x0", "y0", "v0", "w", "s", "t",
-                              "x", "y", "xp", "yp", "xpp", "ypp",
-                              "xppp", "yppp", "z")),
-    "CHAIN_TRACE": None,  # depends on count, validated separately
-    "LONG_MAC": frozenset(("z",)),
-}
 
 _WORD_RE = re.compile(r"[0-9A-F]{8}\Z")
 _BYTE_RE = re.compile(r"[0-9A-F]{2}\Z")
@@ -169,7 +140,7 @@ def _check_width(key, value, line_no):
 
 
 def _validate_outputs(rec, line_no):
-    allowed = _ALLOWED_OUT[rec.op]
+    allowed = _OPS[rec.op].outs
     if allowed is not None:
         bad = set(rec.outputs) - allowed
         if bad:
@@ -206,7 +177,7 @@ def _parse(text):
         suite, name, op, ins, outs = fields
         if suite not in SUITES:
             raise CorpusError(f"line {line_no}: unknown suite {suite!r}")
-        if op not in _REQUIRED_IN:
+        if op not in _OPS:
             raise CorpusError(f"line {line_no}: unknown op {op!r}")
         if not ins.startswith("in:") or not outs.startswith("out:"):
             raise CorpusError(f"line {line_no}: expected in:... out:...")
@@ -216,10 +187,10 @@ def _parse(text):
         seen.add((suite, name))
         inputs = _parse_kv(ins[3:], line_no, "input")
         outputs = _parse_kv(outs[4:], line_no, "output")
-        if set(inputs) != _REQUIRED_IN[op]:
+        if set(inputs) != _OPS[op].ins:
             raise CorpusError(
                 f"line {line_no}: {op} needs inputs "
-                f"{sorted(_REQUIRED_IN[op])}, got {sorted(inputs)}")
+                f"{sorted(_OPS[op].ins)}, got {sorted(inputs)}")
         for key, value in [*inputs.items(), *outputs.items()]:
             _check_width(key, value, line_no)
         rec = VectorRecord(suite, name, op, inputs, outputs)
@@ -247,17 +218,11 @@ def gen_message(init, incr, count):
     vectors define their messages this way instead of listing thousands
     of blocks.
     """
-    out = []
-    value = init & 0xFFFFFFFF
-    for _ in range(count):
-        out.append(value)
-        value = (value + incr) & 0xFFFFFFFF
-    return out
+    return [(init + n * incr) & 0xFFFFFFFF for n in range(count)]
 
 
-def _progression(ins):
-    return gen_message(int(ins["init"], 16), int(ins["incr"], 16),
-                       int(ins["count"]))
+def _progression(i):
+    return gen_message(i["init"], i["incr"], i["count"])
 
 
 class _GateCore:
@@ -336,42 +301,59 @@ def _chain(core, j, k, blocks):
     return outs
 
 
+def _prelude_chain(core, i):
+    im = core.power_chain(i["j1"], i["k1"], i["p"])
+    return {**{f.lower(): im[f] for f in _CHAIN_FIELDS}, "qp": core.q(i["p"])}
+
+
+def _loop_trace(core, i):
+    masks = (i["a"], i["c"], i["b"], i["d"])
+    tr = core.loop_trace(i["x0"], i["y0"], i["v"], i["w"], i["m"], masks)
+    return {k: tr[k.capitalize()] for k in _TRACE_KEYS}
+
+
+def _full_2block(core, i):
+    outs = _chain(core, i["j"], i["k"], (i["m1"], i["m2"]))
+    for key, step in _TWO_BLOCK_KEYS.items():
+        outs[key] = outs[step]
+    outs["p"] = core.pat(i["j"], i["k"])
+    return outs
+
+
+# Each op once: its input names, its output names (None where they depend
+# on the record's count; _validate_outputs checks those) and its run on a
+# core adapter, from the record's inputs as ints.
+_Op = namedtuple("_Op", "ins outs run")
+_OPS = {
+    "MUL1": _Op({"a", "b"}, {"w"}, lambda c, i: {"w": c.mul1(i["a"], i["b"])}),
+    "MUL2": _Op({"a", "b"}, {"w"}, lambda c, i: {"w": c.mul2(i["a"], i["b"])}),
+    "MUL2A": _Op({"a", "b"}, {"w"},
+                 lambda c, i: {"w": c.mul2a(i["a"], i["b"])}),
+    "PAT": _Op({"a", "b"}, {"p"}, lambda c, i: {"p": c.pat(i["a"], i["b"])}),
+    "BYT": _Op({"a", "b"}, {"u", "l"},
+               lambda c, i: dict(zip("ul", c.byt(i["a"], i["b"])))),
+    "PRELUDE_CHAIN": _Op({"j1", "k1", "p"},
+                         {*(f.lower() for f in _CHAIN_FIELDS), "qp"},
+                         _prelude_chain),
+    "PRELUDE": _Op({"j", "k"}, {*_PRELUDE_KEYS}, lambda c, i:
+                   dict(zip(_PRELUDE_KEYS, c.prelude(i["j"], i["k"])))),
+    "LOOP_TRACE": _Op({"a", "b", "c", "d", "x0", "y0", "v", "w", "m"},
+                      {*_TRACE_KEYS}, _loop_trace),
+    "FULL_2BLOCK": _Op({"j", "k", "m1", "m2"},
+                       {"p", *_PRELUDE_KEYS, *_TWO_BLOCK_KEYS, "z"},
+                       _full_2block),
+    "CHAIN_TRACE": _Op({"j", "k", "init", "incr", "count"}, None, lambda c, i:
+                       _chain(c, i["j"], i["k"], _progression(i))),
+    "LONG_MAC": _Op({"j", "k", "init", "incr", "count"}, {"z"}, lambda c, i:
+                    {"z": c.mac_values(i["j"], i["k"], _progression(i))}),
+}
+
+
 def _outs(rec, core):
     """Every output the record's op yields on one core adapter, as ints."""
-    ins = rec.inputs
-    hx = lambda name: int(ins[name], 16)
-    op = rec.op
-    if op in ("MUL1", "MUL2", "MUL2A"):
-        return {"w": getattr(core, op.lower())(hx("a"), hx("b"))}
-    if op == "PAT":
-        return {"p": core.pat(hx("a"), hx("b"))}
-    if op == "BYT":
-        u, l = core.byt(hx("a"), hx("b"))
-        return {"u": u, "l": l}
-    if op == "PRELUDE_CHAIN":
-        im = core.power_chain(hx("j1"), hx("k1"), hx("p"))
-        outs = {f.lower(): im[f] for f in _CHAIN_FIELDS}
-        outs["qp"] = core.q(hx("p"))
-        return outs
-    if op == "PRELUDE":
-        return dict(zip(_PRELUDE_KEYS, core.prelude(hx("j"), hx("k"))))
-    if op == "LOOP_TRACE":
-        masks = (hx("a"), hx("c"), hx("b"), hx("d"))
-        tr = core.loop_trace(hx("x0"), hx("y0"), hx("v"), hx("w"), hx("m"),
-                             masks)
-        return {k: tr[k.capitalize()] for k in _TRACE_KEYS}
-    if op == "FULL_2BLOCK":
-        j, k = hx("j"), hx("k")
-        outs = _chain(core, j, k, (hx("m1"), hx("m2")))
-        for key, step in _TWO_BLOCK_KEYS.items():
-            outs[key] = outs[step]
-        outs["p"] = core.pat(j, k)
-        return outs
-    if op == "CHAIN_TRACE":
-        return _chain(core, hx("j"), hx("k"), _progression(ins))
-    if op == "LONG_MAC":
-        return {"z": core.mac_values(hx("j"), hx("k"), _progression(ins))}
-    raise AssertionError(op)
+    ins = {k: int(v, 10 if k == "count" else 16)
+           for k, v in rec.inputs.items()}
+    return _OPS[rec.op].run(core, ins)
 
 
 def run_record(record, core):

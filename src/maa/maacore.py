@@ -20,7 +20,7 @@ from .wordcore import (
 )
 from .maaops import (
     FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
-    byt, cyc, fix1, fix2, mul1, mul2, mul2a, pat, q,
+    byt, cyc, mul1, mul2, mul2a, pat, q,
 )
 
 # ISO's bound on message length, in 32-bit blocks.  Not inherent to the
@@ -129,24 +129,26 @@ def prelude(key):
 
 
 def main_loop(x, y, v, w, block):
-    """One iteration: rotate V, mix the block in, cross-multiply X and Y."""
-    v2 = cyc(v)
-    e = xor_block(v2, w)
-    xm = xor_block(x, block)
-    ym = xor_block(y, block)
-    x2 = mul1(xm, fix1(add_block(ym, e)))
-    y2 = mul2a(ym, fix2(add_block(xm, e)))
-    return x2, y2, v2
+    """One iteration: the new registers (Xp, Yp, Vp) of loop_trace."""
+    tr = _loop(x, y, v, w, block, TRUE_MASKS)
+    return tr["Xp"], tr["Yp"], tr["Vp"]
 
 
 def loop_trace(x, y, v, w, block, masks=TRUE_MASKS):
     """One main-loop iteration with every intermediate exposed.
 
-    Identical arithmetic to main_loop, decomposed to the granularity of
-    the published tables, with the conditioning masks (or1, and1, or2,
-    and2) substitutable.  The trailing Z is simply XOR(Xp, Yp).  Keyed as
+    The main loop's arithmetic, decomposed to the granularity of the
+    published tables, with the conditioning masks (or1, and1, or2, and2)
+    substitutable.  The trailing Z is simply XOR(Xp, Yp).  Keyed as
     nativecore.loop_trace keys its result.
     """
+    tr = _loop(x, y, v, w, block, masks)
+    return {**tr, "Z": xor_block(tr["Xp"], tr["Yp"])}
+
+
+def _loop(x, y, v, w, block, masks):
+    # the body of both; Z is left to loop_trace, since computing it in
+    # main_loop would only grow xor_octet's memo table on every block
     or1, and1, or2, and2 = masks
     vp = cyc(v)
     e = xor_block(vp, w)
@@ -161,7 +163,7 @@ def loop_trace(x, y, v, w, block, masks=TRUE_MASKS):
     xp = mul1(xm, fpp)
     yp = mul2a(ym, gpp)
     return dict(Vp=vp, E=e, X=xm, Y=ym, F=f, G=g, Fp=fp, Gp=gp,
-                Fpp=fpp, Gpp=gpp, Xp=xp, Yp=yp, Z=xor_block(xp, yp))
+                Fpp=fpp, Gpp=gpp, Xp=xp, Yp=yp)
 
 
 def coda(x, y, v, w, s, t):

@@ -20,8 +20,8 @@ operand guarantees this.
 
 from .wordcore import (
     Block, Octet, Pair, X00, XFF,
-    add_block, add_half, and_block, half_from_octet, mul_block, mul_half,
-    or_block, shift_octet, xor_octet, add_block_carry,
+    add_block, add_half, half_from_octet, mul_block, mul_half,
+    shift_octet, xor_octet, add_block_carry,
     Half, ONE,
 )
 
@@ -42,14 +42,6 @@ def cyc(w):
     rot = bits[1:] + bits[:1]
     return Block(Octet.from_bits(rot[0:8]), Octet.from_bits(rot[8:16]),
                  Octet.from_bits(rot[16:24]), Octet.from_bits(rot[24:32]))
-
-
-def fix1(w):
-    return and_block(or_block(w, FIX1_OR_MASK), FIX1_AND_MASK)
-
-
-def fix2(w):
-    return and_block(or_block(w, FIX2_OR_MASK), FIX2_AND_MASK)
 
 
 def _needs_adjust(o):
@@ -76,13 +68,13 @@ def byt(w1, w2):
     def adj(o, mask):
         return xor_octet(o, mask) if _needs_adjust(o) else o
 
-    w = Block(adj(w1.o1, shift_octet(p, 7, "right")),
-              adj(w1.o2, shift_octet(p, 6, "right")),
-              adj(w1.o3, shift_octet(p, 5, "right")),
-              adj(w1.o4, shift_octet(p, 4, "right")))
-    wp = Block(adj(w2.o1, shift_octet(p, 3, "right")),
-               adj(w2.o2, shift_octet(p, 2, "right")),
-               adj(w2.o3, shift_octet(p, 1, "right")),
+    w = Block(adj(w1.o1, shift_octet(p, 7)),
+              adj(w1.o2, shift_octet(p, 6)),
+              adj(w1.o3, shift_octet(p, 5)),
+              adj(w1.o4, shift_octet(p, 4)))
+    wp = Block(adj(w2.o1, shift_octet(p, 3)),
+               adj(w2.o2, shift_octet(p, 2)),
+               adj(w2.o3, shift_octet(p, 1)),
                adj(w2.o4, p))
     return w, wp
 

@@ -226,15 +226,11 @@ def xor_octet(a, b):
     return Octet.from_bits(tuple(map(xor_bit, a.bits, b.bits)))
 
 
-def shift_octet(a, n, direction):
-    """Logical shift by n in {1..7}, vacated positions filled with ZERO."""
+def shift_octet(a, n):
+    """Logical right shift by n in {1..7}, vacated bits filled with ZERO."""
     if not 1 <= n <= 7:
         raise ValueError(f"shift distance must be 1..7, got {n}")
-    if direction == "left":
-        return Octet.from_bits(a.bits[n:] + (ZERO,) * n)
-    if direction == "right":
-        return Octet.from_bits((ZERO,) * n + a.bits[:8 - n])
-    raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    return Octet.from_bits((ZERO,) * n + a.bits[:8 - n])
 
 
 # ------------------------------------------------------------- octet addition

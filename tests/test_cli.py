@@ -1,5 +1,6 @@
 """The command line, driven in process through main(argv)."""
 
+import os
 import random
 import subprocess
 import sys
@@ -351,3 +352,17 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "LONG" in proc.stdout
+
+
+def test_closed_pipe_ends_quietly_with_sigpipe_status():
+    # a reader that stops early (`maa trace ... | head -1`) is not an error
+    # worth a traceback, nor a success: the status is 128 + SIGPIPE
+    path = os.path.join(os.path.dirname(maacore.__file__), "vectors.txt")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "maa.cli", "trace", "--key", KEY,
+         "--input", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"key ")
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 141

@@ -18,6 +18,18 @@ def test_corpus_shape():
     assert sum(checks.values()) == 263
 
 
+def test_every_op_has_a_record_and_yields_its_outputs():
+    # the table's declared outputs and its runs must agree, on both cores
+    first = {}
+    for r in kat.load_vectors():
+        first.setdefault(r.op, r)
+    assert sorted(first) == sorted(kat._OPS)
+    for op, record in first.items():
+        declared = kat._OPS[op].outs or set(record.outputs)
+        for core in kat._CORES.values():
+            assert declared <= set(kat._outs(record, core)), (op, core)
+
+
 def test_load_vectors_is_cached():
     assert kat.load_vectors() is kat.load_vectors()
 

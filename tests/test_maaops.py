@@ -3,15 +3,16 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maa import nativecore
+from maa.maacore import loop_trace
 from maa.maaops import (
     FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
-    addc, byt, cyc, fix1, fix2, mul1, mul2, mul2a, pat, q,
+    addc, byt, cyc, mul1, mul2, mul2a, pat, q,
 )
-from maa.wordcore import Block, Octet
+from maa.wordcore import Block, Octet, and_block, or_block
 
 words = st.integers(0, 0xFFFFFFFF)
 # words built from bytes at BYT's edges (00 and FF are the bytes it
@@ -74,15 +75,18 @@ def test_cyc_order_thirty_two():
     assert r == w
 
 
-@given(words)
-def test_fix_masks(a):
-    w = Block.from_int(a)
-    assert fix1(w).value == (a | FIX1_OR_MASK.value) & FIX1_AND_MASK.value
-    assert fix2(w).value == (a | FIX2_OR_MASK.value) & FIX2_AND_MASK.value
-    assert fix1(fix1(w)) == fix1(w)
-    assert fix2(fix2(w)) == fix2(w)
-    # the second conditioning always clears the top bit
-    assert fix2(w).value < 0x80000000
+@given(words, words, words, words, words)
+@settings(deadline=None)
+def test_fix_masks(x, y, v, w, m):
+    # the main loop's conditioning, read off loop_trace under the true masks
+    tr = loop_trace(*map(Block.from_int, (x, y, v, w, m)))
+    f, g, fpp, gpp = tr["F"], tr["G"], tr["Fpp"], tr["Gpp"]
+    assert fpp.value == (f.value | FIX1_OR_MASK.value) & FIX1_AND_MASK.value
+    assert gpp.value == (g.value | FIX2_OR_MASK.value) & FIX2_AND_MASK.value
+    assert and_block(or_block(fpp, FIX1_OR_MASK), FIX1_AND_MASK) == fpp
+    assert and_block(or_block(gpp, FIX2_OR_MASK), FIX2_AND_MASK) == gpp
+    # the second conditioning always clears the top bit, so MUL2A is safe
+    assert gpp.value < 0x80000000
 
 
 @given(words, words)
