@@ -17,7 +17,6 @@ from itertools import chain
 from . import kat, nativecore, wordcore
 from .maacore import (
     EmptyMessageError, Key, MESSAGE_BLOCK_LIMIT, MacStream, MessageLimitError,
-    _limit_error,
 )
 from .wordcore import Block
 
@@ -60,7 +59,7 @@ def _chunks(args):
             st = os.fstat(fh.fileno())
             if (stat.S_ISREG(st.st_mode)
                     and (st.st_size + 3) // 4 > MESSAGE_BLOCK_LIMIT):
-                raise _UsageError(str(_limit_error(MESSAGE_BLOCK_LIMIT)))
+                raise MessageLimitError(MESSAGE_BLOCK_LIMIT)
             while chunk := fh.read(_CHUNK_BYTES):
                 yield chunk
     except OSError as e:
@@ -69,11 +68,8 @@ def _chunks(args):
 
 def cmd_mac(args):
     key = _parse_key(args.key)
-    try:
-        z = nativecore.mac_values(key.J.value, key.K.value,
-                                  nativecore.words(_chunks(args)))
-    except (EmptyMessageError, MessageLimitError) as e:
-        raise _UsageError(str(e))
+    z = nativecore.mac_values(key.J.value, key.K.value,
+                              nativecore.words(_chunks(args)))
     print(f"{z:08X}")
     return 0
 
@@ -83,20 +79,17 @@ def cmd_trace(args):
     values = nativecore.words(_chunks(args))
     first = next(values, None)
     if first is None:
-        raise _UsageError("message must contain at least one byte")
+        raise EmptyMessageError()
     stream = MacStream(key)
     x0, y0, v0, w, s, t = stream.prelude
     print(f"key    J={key.J.hex()} K={key.K.hex()}")
     print(f"X0={x0.hex()} Y0={y0.hex()} V0={v0.hex()} "
           f"W={w.hex()} S={s.hex()} T={t.hex()}")
     print(f"{'n':>6}  {'block':8}  {'X':8}  {'Y':8}  {'V':8}  {'Z':8}")
-    try:
-        for block in map(Block.from_int, chain((first,), values)):
-            x, y, v = stream.push(block)
-            print(f"{stream.total_blocks:>6}  {block.hex()}  {x.hex()}"
-                  f"  {y.hex()}  {v.hex()}  {stream.mac().hex()}")
-    except MessageLimitError as e:
-        raise _UsageError(str(e))
+    for block in map(Block.from_int, chain((first,), values)):
+        x, y, v = stream.push(block)
+        print(f"{stream.total_blocks:>6}  {block.hex()}  {x.hex()}"
+              f"  {y.hex()}  {v.hex()}  {stream.mac().hex()}")
     print(f"MAC {stream.mac().hex()}")
     return 0
 
@@ -212,7 +205,7 @@ class _ScenarioRun:
         if self.stream is None:
             self.stream = MacStream(self.key)
         if self.stream.total_blocks + count > self.stream.limit:
-            _scenario_error(line_no, str(_limit_error(self.stream.limit)))
+            _scenario_error(line_no, str(MessageLimitError(self.stream.limit)))
         for _ in range(count):
             x, y, v = self.stream.push(self.block)
         regs = {"X": x, "Y": y, "V": v}
@@ -311,7 +304,7 @@ def main(argv=None):
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except _UsageError as e:
+    except (_UsageError, EmptyMessageError, MessageLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BrokenPipeError:

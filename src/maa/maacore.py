@@ -33,14 +33,16 @@ SEGMENT_BLOCKS = 256
 class EmptyMessageError(ValueError):
     """The MAC of a zero-block message is undefined; we reject it."""
 
+    def __str__(self):
+        return "the MAC of an empty message is undefined"
+
 
 class MessageLimitError(ValueError):
-    pass
+    """MessageLimitError(limit): the message has more blocks than limit."""
 
-
-def _limit_error(limit):
-    return MessageLimitError(f"message exceeds the {limit}-block limit "
-                             f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
+    def __str__(self):
+        return (f"message exceeds the {self.args[0]}-block limit "
+                f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,7 @@ class MacStream:
         if not isinstance(block, Block):
             raise TypeError(f"expected a Block, got {type(block).__name__}")
         if self.total_blocks >= self.limit:
-            raise _limit_error(self.limit)
+            raise MessageLimitError(self.limit)
         x0, y0, v0, w, _, _ = self.prelude
         if self.total_blocks and self.total_blocks % SEGMENT_BLOCKS == 0:
             self._regs = main_loop(x0, y0, v0, w, self.mac())
@@ -208,8 +210,7 @@ class MacStream:
     def mac(self):
         """MAC of all blocks pushed so far."""
         if self.total_blocks == 0:
-            raise EmptyMessageError("no blocks pushed; the MAC of an empty "
-                                    "message is undefined")
+            raise EmptyMessageError()
         _, _, _, w, s, t = self.prelude
         return coda(*self._regs, w, s, t)
 
@@ -226,7 +227,7 @@ def message_blocks(payload):
     """Split bytes into blocks: zero-pad to a multiple of 4, group
     big-endian."""
     if not payload:
-        raise EmptyMessageError("message must contain at least one byte")
+        raise EmptyMessageError()
     padded = bytes(payload) + b"\x00" * (-len(payload) % 4)
     o = _OCTETS
     return [Block(o[a], o[b], o[c], o[d])
@@ -236,5 +237,5 @@ def message_blocks(payload):
 def mac_message(key, payload, limit=MESSAGE_BLOCK_LIMIT):
     """MAC of a byte string; one over the limit fails before any work."""
     if 0 < limit < (len(payload) + 3) // 4:
-        raise _limit_error(limit)
+        raise MessageLimitError(limit)
     return mac_blocks(key, message_blocks(payload), limit)

@@ -19,7 +19,7 @@ operand guarantees this.
 """
 
 from .wordcore import (
-    Block, Octet, Pair, X00, XFF,
+    Block, Octet, X00, XFF,
     add_block, add_half, half_from_octet, mul_block, mul_half,
     shift_octet, xor_octet, add_block_carry,
     Half, ONE,
@@ -80,16 +80,16 @@ def byt(w1, w2):
 
 
 def addc(w1, w2):
-    """Full 33-bit addition, the carry returned as a whole block (0 or 1)."""
-    cs = add_block_carry(w1, w2)
-    return Pair(_BLOCK_ONE if cs.carry == ONE else _BLOCK_ZERO, cs.sum)
+    """Full 33-bit addition as the blocks (carry, sum), the carry 0 or 1."""
+    c, s = add_block_carry(w1, w2)
+    return _BLOCK_ONE if c == ONE else _BLOCK_ZERO, s
 
 
 def mul1(a, b):
     """Multiply and fold once end-around: result = a * b mod 2**32 - 1."""
-    p = mul_block(a, b)
-    f = addc(p.w1, p.w2)
-    return add_block(f.w2, f.w1)
+    u, l = mul_block(a, b)
+    c, s = addc(u, l)
+    return add_block(s, c)
 
 
 def mul2(a, b):
@@ -98,19 +98,19 @@ def mul2(a, b):
     The upper half is doubled (since 2**32 = 2 mod 2**32 - 2) with its own
     carry folded in twice, then added to the lower half the same way.
     """
-    p = mul_block(a, b)
-    d = addc(p.w1, p.w1)
-    u = add_block(d.w2, add_block(d.w1, d.w1))
-    f = addc(u, p.w2)
-    return add_block(f.w2, add_block(f.w1, f.w1))
+    u, l = mul_block(a, b)
+    c, s = addc(u, u)
+    u = add_block(s, add_block(c, c))
+    c, s = addc(u, l)
+    return add_block(s, add_block(c, c))
 
 
 def mul2a(a, b):
     """MUL2 with the upper-half doubling carry dropped."""
-    p = mul_block(a, b)
-    u = add_block(p.w1, p.w1)
-    f = addc(u, p.w2)
-    return add_block(f.w2, add_block(f.w1, f.w1))
+    u, l = mul_block(a, b)
+    u = add_block(u, u)
+    c, s = addc(u, l)
+    return add_block(s, add_block(c, c))
 
 
 def q(o):

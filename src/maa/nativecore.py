@@ -21,7 +21,7 @@ from itertools import islice
 from operator import attrgetter
 
 from .maacore import (
-    EmptyMessageError, MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS, _limit_error,
+    EmptyMessageError, MESSAGE_BLOCK_LIMIT, MessageLimitError, SEGMENT_BLOCKS,
 )
 from .wordcore import Block
 
@@ -191,7 +191,7 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
     while seg := list(islice(it, SEGMENT_BLOCKS)):
         count += len(seg)
         if count > limit:
-            raise _limit_error(limit)
+            raise MessageLimitError(limit)
         if min(seg) < 0 or max(seg) > MASK32:
             raise ValueError(f"block values must be 32-bit words, got "
                              f"{min(seg):#x} to {max(seg):#x}")
@@ -200,8 +200,7 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
         x, y, v = _fold(x0, y0, v0, w, seg)
         z = coda(x, y, v, w, s, t)
     if z is None:
-        raise EmptyMessageError("no blocks; the MAC of an empty message is "
-                                "undefined")
+        raise EmptyMessageError()
     return z
 
 

@@ -1,4 +1,4 @@
-"""Gate-level machine words: bits, octets, half-words, blocks, 64-bit pairs.
+"""Gate-level machine words: bits, octets, half-words and blocks.
 
 Everything is built upward from single-bit gates: ripple-carry adders,
 shift-and-add multipliers, bitwise logic applied position by position.
@@ -6,7 +6,8 @@ Host integers appear only as labels (for rendering, hashing, and conversion
 at the package boundary); no arithmetic result is ever produced by a native
 + or *.  The big-endian convention holds throughout: bit index 0 of an
 octet is its most significant bit, octet o1 of a block is its most
-significant byte.
+significant byte.  An operation with two results, an adder's carry and
+sum or a product's upper and lower blocks, returns them as a tuple.
 
 Three tables below the octet level are built once, at import: the full
 adder's eight-row truth table, by calling add_bit and car_bit; the lookup
@@ -18,7 +19,6 @@ is still computed once through the full gate construction.
 
 import re
 from functools import cache
-from typing import NamedTuple
 
 ZERO = 0
 ONE = 1
@@ -108,7 +108,7 @@ _HEX_WORD = re.compile("[0-9A-Fa-f]{8}")
 
 
 class _Word:
-    """What Half, Block and Pair share: hex at full width, equality and
+    """What Half and Block share: hex at full width, equality and
     hashing by type and value, and the range check of from_int.
 
     Each subclass sets _BITS and keeps its own slots, constructor and
@@ -187,28 +187,6 @@ class Block(_Word):
         return (self.o1, self.o2, self.o3, self.o4)
 
 
-class Pair(_Word):
-    """A 64-bit word as two blocks: w1 holds the upper 32 bits, w2 the lower."""
-
-    __slots__ = ("w1", "w2", "value")
-    _BITS = 64
-
-    def __init__(self, w1, w2):
-        self.w1 = w1
-        self.w2 = w2
-        self.value = w1.value << 32 | w2.value
-
-    @classmethod
-    def _split(cls, v):
-        return cls(Block._split(v >> 32), Block._split(v & 0xFFFFFFFF))
-
-
-class CarrySum(NamedTuple):
-    """A width+1 bit addition result: carry * 2**width + sum."""
-    carry: int
-    sum: object
-
-
 # ---------------------------------------------------------------- octet logic
 
 @cache
@@ -237,16 +215,17 @@ def shift_octet(a, n):
 
 @cache
 def add_octet_carry(a, b, cin=ZERO):
-    """Ripple-carry 8-bit adder: carry * 256 + sum = a + b + cin."""
+    """Ripple-carry 8-bit adder: (carry, sum) with
+    carry * 256 + sum = a + b + cin."""
     bits = [ZERO] * 8
     carry = cin
     for i in range(7, -1, -1):
         bits[i], carry = _FULL_ADDER[a.bits[i]][b.bits[i]][carry]
-    return CarrySum(carry, Octet.from_bits(bits))
+    return carry, Octet.from_bits(bits)
 
 
 def add_octet(a, b):
-    return add_octet_carry(a, b, ZERO).sum
+    return add_octet_carry(a, b, ZERO)[1]
 
 
 # ------------------------------------------------------- octet multiplication
@@ -265,11 +244,10 @@ def mul_octet(a, b):
     for i in range(8):
         if a.bits[i] == ONE:
             hi = add_octet(hi, Octet.from_bits(wide[7 - i:15 - i]))
-            cs = add_octet_carry(lo, Octet.from_bits(wide[15 - i:23 - i]),
-                                 ZERO)
-            if cs.carry == ONE:
+            c, lo = add_octet_carry(lo, Octet.from_bits(wide[15 - i:23 - i]),
+                                    ZERO)
+            if c == ONE:
                 hi = add_octet(hi, X01)
-            lo = cs.sum
     return Half(hi, lo)
 
 
@@ -283,14 +261,10 @@ def half_from_octet(o):
     return _HALVES[o.value]
 
 
-def add_half_carry(a, b):
-    cs2 = add_octet_carry(a.o2, b.o2, ZERO)
-    cs1 = add_octet_carry(a.o1, b.o1, cs2.carry)
-    return CarrySum(cs1.carry, Half(cs1.sum, cs2.sum))
-
-
 def add_half(a, b):
-    return add_half_carry(a, b).sum
+    c2, s2 = add_octet_carry(a.o2, b.o2, ZERO)
+    _, s1 = add_octet_carry(a.o1, b.o1, c2)
+    return Half(s1, s2)
 
 
 def mul_half(a, b):
@@ -331,16 +305,17 @@ def xor_block(a, b):
 
 
 def add_block_carry(a, b):
-    """32-bit adder chained through four octet adders, low octet first."""
-    cs4 = add_octet_carry(a.o4, b.o4, ZERO)
-    cs3 = add_octet_carry(a.o3, b.o3, cs4.carry)
-    cs2 = add_octet_carry(a.o2, b.o2, cs3.carry)
-    cs1 = add_octet_carry(a.o1, b.o1, cs2.carry)
-    return CarrySum(cs1.carry, Block(cs1.sum, cs2.sum, cs3.sum, cs4.sum))
+    """32-bit adder chained through four octet adders, low octet first:
+    (carry, sum)."""
+    c4, s4 = add_octet_carry(a.o4, b.o4, ZERO)
+    c3, s3 = add_octet_carry(a.o3, b.o3, c4)
+    c2, s2 = add_octet_carry(a.o2, b.o2, c3)
+    c1, s1 = add_octet_carry(a.o1, b.o1, c2)
+    return c1, Block(s1, s2, s3, s4)
 
 
 def add_block(a, b):
-    return add_block_carry(a, b).sum
+    return add_block_carry(a, b)[1]
 
 
 def upper_half(w):
@@ -357,11 +332,11 @@ def block_from_half(h):
 
 
 def mul_block(a, b):
-    """Exact 64-bit product as Pair(upper, lower).
+    """Exact 64-bit product as the blocks (upper, lower).
 
     Four 16x16 partial products; the middle columns are gathered into w3
     and w4 whose upper halves carry into the next column up, and w5 closes
-    the top.  The result pair is assembled from the low halves of w5, w4,
+    the top.  The two blocks are assembled from the low halves of w5, w4,
     w3 and w22.
     """
     au, al = upper_half(a), lower_half(a)
@@ -379,5 +354,5 @@ def mul_block(a, b):
                                        block_from_half(upper_half(w21)))))
     w5 = add_block(block_from_half(upper_half(w4)),
                    block_from_half(upper_half(w11)))
-    return Pair(Block(w5.o3, w5.o4, w4.o3, w4.o4),
-                Block(w3.o3, w3.o4, w22.o3, w22.o4))
+    return (Block(w5.o3, w5.o4, w4.o3, w4.o4),
+            Block(w3.o3, w3.o4, w22.o3, w22.o4))

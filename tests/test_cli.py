@@ -8,7 +8,9 @@ import sys
 import pytest
 
 from maa import cli, maacore, nativecore, wordcore
-from maa.maacore import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS
+from maa.maacore import (
+    EmptyMessageError, MESSAGE_BLOCK_LIMIT, MessageLimitError, SEGMENT_BLOCKS,
+)
 
 KEY = "00FF00FF" "00000000"
 
@@ -78,6 +80,22 @@ def test_mac_rejects_bad_inputs(tmp_path, capsys):
         assert err.startswith("error: ") and message in err, (argv, err)
 
 
+def test_empty_message_is_refused_alike_by_mac_and_trace(tmp_path, capsys):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    for command in ("mac", "trace"):
+        for source in (("--hex", ""), ("--input", str(empty))):
+            code, out, err = run(capsys, command, "--key", KEY, *source)
+            assert (code, out) == (2, ""), (command, source)
+            assert err == f"error: {EmptyMessageError()}\n", (command, source)
+
+
+def test_mac_takes_the_all_ones_key(capsys):
+    code, out, _ = run(capsys, "mac", "--key", "F" * 16,
+                       "--hex", "00000000FFFFFFFF12345678")
+    assert (code, out) == (0, "E91EA110\n")
+
+
 def test_over_limit_file_is_refused_unread(tmp_path, capsys, monkeypatch):
     # a regular file's size is known at open, so not one block of an
     # over-limit file reaches the MAC
@@ -92,7 +110,7 @@ def test_over_limit_file_is_refused_unread(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "mac", "--key", KEY,
                          "--input", str(too_long))
     assert (code, out) == (2, "")
-    assert err == f"error: {maacore._limit_error(MESSAGE_BLOCK_LIMIT)}\n"
+    assert err == f"error: {MessageLimitError(MESSAGE_BLOCK_LIMIT)}\n"
 
 
 def _three_macs(tmp_path, capsys, nbytes):
@@ -321,7 +339,7 @@ def test_scenario_refuses_an_over_limit_cycle_before_it_runs(
     code, out, err = run(capsys, "scenario", str(path))
     assert (code, out) == (2, "")
     assert err == (f"error: scenario line 3: "
-                   f"{maacore._limit_error(MESSAGE_BLOCK_LIMIT)}\n")
+                   f"{MessageLimitError(MESSAGE_BLOCK_LIMIT)}\n")
 
 
 def test_scenario_missing_file(capsys):

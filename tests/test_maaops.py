@@ -91,8 +91,8 @@ def test_fix_masks(x, y, v, w, m):
 
 @given(words, words)
 def test_addc_splits_the_sum(a, b):
-    r = addc(Block.from_int(a), Block.from_int(b))
-    assert r.w1.value * 2**32 + r.w2.value == a + b
+    carry, total = addc(Block.from_int(a), Block.from_int(b))
+    assert carry.value * 2**32 + total.value == a + b
 
 
 @given(edge_words, edge_words)

@@ -89,6 +89,20 @@ def test_mac_matches_gate_across_a_boundary():
         == want
 
 
+@pytest.mark.parametrize("j, k, mac", [
+    ("00000000", "00000000", "D51BF707"),
+    ("00000000", "FFFFFFFF", "25082A1D"),
+    ("FFFFFFFF", "00000000", "2731F132"),
+    ("FFFFFFFF", "FFFFFFFF", "E91EA110"),
+])
+def test_edge_keys_match_gate(j, k, mac):
+    # the key-range check admits both ends of the 32-bit range
+    values = [0x00000000, 0xFFFFFFFF, 0x12345678]
+    gate = maacore.mac_blocks(Key.from_hex(j, k), map(Block.from_int, values))
+    native = nativecore.mac_values(int(j, 16), int(k, 16), values)
+    assert f"{native:08X}" == gate.hex() == mac
+
+
 # words at the multiplications' edges, mixed into the segment tests
 EDGE_VALUES = (0x00000000, 0x00000001, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE,
                0xFFFFFFFF)

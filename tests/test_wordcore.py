@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from maa.maaops import addc
 from maa.wordcore import (
-    Block, CarrySum, Half, Octet, Pair, ONE, ZERO,
-    add_bit, add_block, add_block_carry, add_half, add_half_carry,
+    Block, Half, Octet, ONE, ZERO,
+    add_bit, add_block, add_block_carry, add_half,
     add_octet, add_octet_carry, and_block, and_octet, block_from_half,
     car_bit, half_from_octet, lower_half, mul_block, mul_half, mul_octet,
     or_block, or_octet, shift_octet, upper_half, xor_block, xor_octet,
@@ -81,14 +82,13 @@ def test_octet_multiplier_edges():
         assert mul_octet(Octet.from_int(a), Octet.from_int(b)).value == a * b
 
 
-WORD_TYPES = ((Half, 16), (Block, 32), (Pair, 64))
+WORD_TYPES = ((Half, 16), (Block, 32))
 
 
 def test_hex_round_trips():
     assert Half.from_int(0xBEEF).hex() == "BEEF"
     assert Block.from_hex("DeadBeef").hex() == "DEADBEEF"
     assert Block.from_hex("deadbeef") == Block.from_int(0xDEADBEEF)
-    assert Pair.from_int(0x0123456789ABCDEF).hex() == "0123456789ABCDEF"
     for cls, bits in WORD_TYPES:
         assert cls.from_int(0).hex() == "0" * (bits // 4)
         assert cls.from_int(2**bits - 1).hex() == "F" * (bits // 4)
@@ -110,7 +110,6 @@ def test_value_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != Block.from_int(6)
     assert a != 5
-    assert Pair.from_int(7) == Pair(Block.from_int(0), Block.from_int(7))
     assert Half.from_int(7) == Half(Octet.from_int(0), Octet.from_int(7))
     for cls, _ in WORD_TYPES:
         x, y = cls.from_int(0x1234), cls.from_int(0x1234)
@@ -141,9 +140,6 @@ def test_block_octet_structure():
 
 @given(halves, halves)
 def test_half_adder(a, b):
-    carry, total = add_half_carry(Half.from_int(a), Half.from_int(b))
-    assert carry == (a + b) >> 16
-    assert total.value == (a + b) & 0xFFFF
     assert add_half(Half.from_int(a), Half.from_int(b)).value == (a + b) & 0xFFFF
 
 
@@ -171,19 +167,28 @@ def test_half_multiplier(a, b):
 
 @given(words, words)
 def test_block_multiplier(a, b):
-    product = mul_block(Block.from_int(a), Block.from_int(b))
-    assert product.value == a * b
-    assert product.w1.value == a * b >> 32
-    assert product.w2.value == a * b & 0xFFFFFFFF
+    upper, lower = mul_block(Block.from_int(a), Block.from_int(b))
+    assert upper.value == a * b >> 32
+    assert lower.value == a * b & 0xFFFFFFFF
 
 
 def test_block_multiplier_edges():
     top = 0xFFFFFFFF
     for a, b in [(0, 0), (top, top), (top, 1), (1, top), (0x80000000, 2)]:
-        assert mul_block(Block.from_int(a), Block.from_int(b)).value == a * b
+        upper, lower = mul_block(Block.from_int(a), Block.from_int(b))
+        assert upper.value << 32 | lower.value == a * b
 
 
-def test_carry_sum_shape():
-    cs = add_octet_carry(Octet.from_int(200), Octet.from_int(100), ONE)
-    assert isinstance(cs, CarrySum)
-    assert cs.carry == 1 and cs.sum.value == 45
+def test_two_part_results_are_plain_tuples():
+    top = Block.from_int(0xFFFFFFFF)
+    two = Block.from_int(2)
+    results = [
+        (add_octet_carry(Octet.from_int(200), Octet.from_int(100), ONE),
+         (1, Octet.from_int(45))),
+        (add_block_carry(top, two), (1, Block.from_int(1))),
+        (addc(top, two), (Block.from_int(1), Block.from_int(1))),
+        (mul_block(top, top),
+         (Block.from_int(0xFFFFFFFE), Block.from_int(0x00000001))),
+    ]
+    for got, want in results:
+        assert type(got) is tuple and got == want
