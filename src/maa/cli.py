@@ -14,7 +14,7 @@ import sys
 import time
 from itertools import chain
 
-from . import kat, nativecore, wordcore
+from . import kat, maacore, nativecore, wordcore
 from .maacore import (
     EmptyMessageError, Key, MESSAGE_BLOCK_LIMIT, MacStream, MessageLimitError,
 )
@@ -247,7 +247,7 @@ def cmd_bench(args):
         print(f"{name:7} {args.blocks} blocks in {dt:.4f}s "
               f"({rate:,.0f} blocks/s)  MAC {z:08X}")
         macs.add(z)
-    for name, table in vars(wordcore).items():
+    for name, table in [*vars(wordcore).items(), *vars(maacore).items()]:
         if hasattr(table, "cache_info"):    # the gate core's memo tables
             hits, misses, _, entries = table.cache_info()
             print(f"memo    {name:15} {entries:6,} entries {hits:10,} hits "

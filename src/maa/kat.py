@@ -228,9 +228,9 @@ def _progression(i):
 class _GateCore:
     """The gate-level core behind nativecore's int signatures.
 
-    Ints become Blocks (and the PAT octet an Octet) on the way in;
-    results leave as their .value.  Each call looks the core function up
-    on its module, so whatever is bound there at call time runs.
+    Ints become Blocks, or the PAT octet an Octet, and results leave as
+    .value.  Each call looks the core function up on its module, so what
+    is bound there at call time runs; maacore.prelude keeps its last key.
     """
 
     def mul1(self, a, b):

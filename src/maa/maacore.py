@@ -1,10 +1,11 @@
 """The three MAA phases and the streaming per-block MAC state machine.
 
-A 64-bit key (J, K) is expanded once by the prelude into six blocks:
-starting values X0, Y0, V0, a per-block constant W, and two coda blocks
-S, T.  The main loop consumes one message block per step, updating X, Y
-and a rotating V.  The coda runs the main loop twice more, on S then T,
-and the MAC is XOR(X, Y).
+A 64-bit key (J, K) is expanded by the prelude into six blocks: starting
+values X0, Y0, V0, a per-block constant W, and two coda blocks S, T.  The
+last key's six are kept, as a message or a trace uses one key; code that
+rebinds a gate op at run time must call prelude.cache_clear().  The main
+loop consumes one message block per step, updating X, Y and a rotating V.
+The coda runs the main loop twice more, on S then T; the MAC is XOR(X, Y).
 
 Messages longer than 256 blocks are processed in segments: the MAC of
 each segment is fed as the leading block of the next one, restarting the
@@ -14,6 +15,7 @@ the overall MAC.  MacStream reproduces this cycle by cycle.
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .wordcore import (
     _OCTETS, Block, add_block, and_block, or_block, xor_block,
@@ -115,6 +117,7 @@ def power_chain(j1, k1, p):
     )
 
 
+@lru_cache(maxsize=1)
 def prelude(key):
     """Expand the key into (X0, Y0, V0, W, S, T).
 

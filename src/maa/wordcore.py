@@ -3,11 +3,11 @@
 Everything is built upward from single-bit gates: ripple-carry adders,
 shift-and-add multipliers, bitwise logic applied position by position.
 Host integers appear only as labels (for rendering, hashing, and conversion
-at the package boundary); no arithmetic result is ever produced by a native
-+ or *.  The big-endian convention holds throughout: bit index 0 of an
-octet is its most significant bit, octet o1 of a block is its most
-significant byte.  An operation with two results, an adder's carry and
-sum or a product's upper and lower blocks, returns them as a tuple.
+at the package boundary; above the octet, computed only when read); no
+arithmetic result is ever produced by a native + or *.  Big-endian holds
+throughout: bit index 0 of an octet is its most significant bit, octet o1
+of a block is its most significant byte.  An operation with two results,
+an adder's carry and sum or a product's two halves, returns them as a tuple.
 
 Three tables below the octet level are built once, at import: the full
 adder's eight-row truth table, by calling add_bit and car_bit; the lookup
@@ -111,8 +111,8 @@ class _Word:
     """What Half and Block share: hex at full width, equality and
     hashing by type and value, and the range check of from_int.
 
-    Each subclass sets _BITS and keeps its own slots, constructor and
-    _split, which builds an instance from an in-range integer.  Octet
+    Each subclass sets _BITS and keeps its own slots, constructor, value
+    and _split, which builds an instance from an in-range integer.  Octet
     stays outside: its 256 instances are interned, and the memo tables
     hash them by identity.
     """
@@ -141,13 +141,16 @@ class _Word:
 class Half(_Word):
     """A 16-bit word as two octets, most significant first."""
 
-    __slots__ = ("o1", "o2", "value")
+    __slots__ = ("o1", "o2")
     _BITS = 16
 
     def __init__(self, o1, o2):
         self.o1 = o1
         self.o2 = o2
-        self.value = o1.value << 8 | o2.value
+
+    @property
+    def value(self):
+        return self.o1.value << 8 | self.o2.value
 
     @classmethod
     def _split(cls, v):
@@ -161,7 +164,7 @@ class Block(_Word):
     registers and the result are all blocks.
     """
 
-    __slots__ = ("o1", "o2", "o3", "o4", "value")
+    __slots__ = ("o1", "o2", "o3", "o4")
     _BITS = 32
 
     def __init__(self, o1, o2, o3, o4):
@@ -169,7 +172,11 @@ class Block(_Word):
         self.o2 = o2
         self.o3 = o3
         self.o4 = o4
-        self.value = o1.value << 24 | o2.value << 16 | o3.value << 8 | o4.value
+
+    @property
+    def value(self):
+        return (self.o1.value << 24 | self.o2.value << 16
+                | self.o3.value << 8 | self.o4.value)
 
     @classmethod
     def _split(cls, v):

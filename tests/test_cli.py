@@ -355,19 +355,30 @@ def test_bench(capsys):
     assert len(macs) == 1    # both cores agree
     memo = {l.split()[1]: l.split() for l in out.splitlines()
             if l.startswith("memo ")}
-    tables = [n for n, f in vars(wordcore).items() if hasattr(f, "cache_info")]
-    assert tables and sorted(memo) == sorted(tables)
+    tables = [n for m in (wordcore, maacore) for n, f in vars(m).items()
+              if hasattr(f, "cache_info")]
+    assert "prelude" in tables and sorted(memo) == sorted(tables)
     for fields in memo.values():    # memo NAME N entries H hits M misses ...
         hits, misses = (int(fields[i].replace(",", "")) for i in (4, 6))
         assert hits + misses > 0
     assert run(capsys, "bench", "--blocks", "0")[0] == 2
 
 
+def child_env():
+    """The environment with this checkout's package first on PYTHONPATH;
+    pytest's own pythonpath setting does not reach a child interpreter."""
+    src = os.path.dirname(os.path.dirname(maacore.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "maa.cli", "selftest", "--suite", "long",
          "--core", "native"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "LONG" in proc.stdout
 
@@ -379,7 +390,7 @@ def test_closed_pipe_ends_quietly_with_sigpipe_status():
     proc = subprocess.Popen(
         [sys.executable, "-m", "maa.cli", "trace", "--key", KEY,
          "--input", path],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     assert proc.stdout.readline().startswith(b"key ")
     proc.stdout.close()
     assert proc.stderr.read() == b""

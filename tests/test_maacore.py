@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maa import maacore
+from maa import maacore, nativecore
 from maa.maacore import (
     EmptyMessageError, Key, MacStream, MessageLimitError,
     SEGMENT_BLOCKS, TRUE_MASKS, coda, loop_trace, mac_blocks, mac_message,
@@ -49,6 +49,27 @@ def test_prelude_degenerate_key():
     assert byt(im["H4"], im["H5"]) == pre[:2]
     assert pre == (B("4A645A01"), B("50DEC930"), B("5CCA3239"),
                    B("FECCAA6E"), B("51EDE9C7"), B("24B66FB5"))
+
+
+def test_prelude_keeps_one_key_and_survives_alternating_keys():
+    # the gate core keeps only the last key's prelude: alternating keys
+    # evict it on every change, and each MAC must still be the native one
+    rng = random.Random(0xCAC4E)
+    payloads = [rng.randbytes(n) for n in (*range(1, 10), 1025)]
+    a = Key.from_hex("E6A12F07", "9D15C437")
+    b = Key.from_hex("00FF00FF", "00000000")
+    for key in (a, b, a, b):
+        for payload in payloads:
+            assert mac_message(key, payload).value == nativecore.mac_values(
+                key.J.value, key.K.value, nativecore.words([payload]))
+    info = prelude.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    prelude.cache_clear()
+    assert prelude(Key.from_hex("80018001", "80018000")) == \
+        prelude(Key.from_hex("80018001", "80018000"))
+    assert prelude.cache_info()[:2] == (1, 1)    # hits, misses
+    prelude.cache_clear()
+    assert prelude.cache_info().currsize == 0
 
 
 def test_loop_trace_with_substitute_masks():

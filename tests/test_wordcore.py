@@ -125,6 +125,19 @@ def test_value_equality_and_hash():
     assert Octet.__hash__ is object.__hash__
 
 
+def test_labels_are_read_off_the_octets():
+    # a half-word or block stores only its octets; its value is computed
+    # when read, so it can be neither stored nor assigned
+    for cls, values in ((Block, (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)),
+                        (Half, (0, 0xFFFF))):
+        assert "value" not in cls.__slots__
+        for v in values:
+            w = cls.from_int(v)
+            assert w.value == v and cls.from_int(w.value) == w
+            with pytest.raises(AttributeError):
+                w.value = v
+
+
 def test_block_octet_structure():
     w = Block.from_hex("01020304")
     assert [o.value for o in w.octets()] == [1, 2, 3, 4]
