@@ -10,17 +10,15 @@ import argparse
 import os
 import random
 import stat
+import struct
 import sys
 import time
 from itertools import chain
 
-from . import kat, maacore, nativecore, wordcore
-from .maacore import (
-    EmptyMessageError, Key, MESSAGE_BLOCK_LIMIT, MacStream, MessageLimitError,
-)
-from .wordcore import Block
+from . import CORES, EmptyMessageError, MessageLimitError, SUITES
+from . import MESSAGE_BLOCK_LIMIT, nativecore
 
-_SUITE_FLAGS = {s.lower().replace("_", ""): s for s in (*kat.SUITES, "ALL")}
+_SUITE_FLAGS = {s.lower().replace("_", ""): s for s in (*SUITES, "ALL")}
 
 _BENCH_KEY = (0x80018001, 0x80018000)
 
@@ -32,13 +30,14 @@ class _UsageError(Exception):
 
 
 def _parse_key(text):
+    """The key halves (J, K) as ints, from exactly 16 hex digits."""
     t = text.strip()
     if len(t) != 16:
         raise _UsageError(f"--key wants 16 hex digits (J then K), "
                           f"got {len(t)}")
     try:
-        return Key.from_hex(t[:8], t[8:])
-    except ValueError:
+        return struct.unpack(">II", bytes.fromhex(t))
+    except (ValueError, struct.error):  # fromhex skips spaces: "00 FF 0000"
         raise _UsageError(f"--key is not hex: {text!r}")
 
 
@@ -67,15 +66,16 @@ def _chunks(args):
 
 
 def cmd_mac(args):
-    key = _parse_key(args.key)
-    z = nativecore.mac_values(key.J.value, key.K.value,
+    z = nativecore.mac_values(*_parse_key(args.key),
                               nativecore.words(_chunks(args)))
     print(f"{z:08X}")
     return 0
 
 
 def cmd_trace(args):
-    key = _parse_key(args.key)
+    from .maacore import Key, MacStream
+    from .wordcore import Block
+    key = Key(*map(Block.from_int, _parse_key(args.key)))
     values = nativecore.words(_chunks(args))
     first = next(values, None)
     if first is None:
@@ -95,8 +95,9 @@ def cmd_trace(args):
 
 
 def cmd_selftest(args):
+    from . import kat
     suite = _SUITE_FLAGS[args.suite]
-    suites = kat.SUITES if suite == "ALL" else (suite,)
+    suites = SUITES if suite == "ALL" else (suite,)
     cores = kat._CORES if args.core == "both" else (args.core,)
     failures = []
     total = 0
@@ -120,6 +121,7 @@ def _scenario_error(line_no, message):
 
 
 def _scenario_word(token, line_no, what):
+    from .wordcore import Block
     try:
         return Block.from_hex(token)
     except ValueError:
@@ -164,7 +166,7 @@ class _ScenarioRun:
                 _scenario_error(line_no, "key wants two 8-digit words (J K)")
             j = _scenario_word(args[0], line_no, "J")
             k = _scenario_word(args[1], line_no, "K")
-            self.key = Key(j, k)
+            self.key = (j, k)
             self.stream = None
         elif word == "block":
             if len(args) != 1:
@@ -203,7 +205,8 @@ class _ScenarioRun:
         if self.block is None:
             _scenario_error(line_no, "cycle before block")
         if self.stream is None:
-            self.stream = MacStream(self.key)
+            from .maacore import Key, MacStream
+            self.stream = MacStream(Key(*self.key))
         if self.stream.total_blocks + count > self.stream.limit:
             _scenario_error(line_no, str(MessageLimitError(self.stream.limit)))
         for _ in range(count):
@@ -234,6 +237,7 @@ def cmd_scenario(args):
 
 
 def cmd_bench(args):
+    from . import kat, maacore, wordcore
     if args.blocks < 1:
         raise _UsageError("--blocks wants a positive count")
     rng = random.Random(0x1D1A)
@@ -284,7 +288,7 @@ def _build_parser():
 
     p = sub.add_parser("selftest", help="run the known-answer corpus")
     p.add_argument("--suite", choices=sorted(_SUITE_FLAGS), default="all")
-    p.add_argument("--core", choices=kat.CORES, default="both")
+    p.add_argument("--core", choices=CORES, default="both")
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("scenario", help="run a register-check script")

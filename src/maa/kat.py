@@ -9,9 +9,9 @@ or both, and compares every requested output.
 
 One runner serves every core through nativecore's int signatures: the
 native adapter is the nativecore module itself, and the gate adapter
-converts ints to Blocks and back.  A new core is one more adapter in
-_CORES, and `maa selftest --core` lists it.  A new op is one more entry
-in _OPS: its input names, its output names and its run on an adapter.
+converts ints to Blocks and back.  A new core is its name in maa.CORES
+(`maa selftest --core` lists them) plus an adapter in _CORES.  A new op is
+one entry in _OPS: its input names, output names and run on an adapter.
 
 Suites:
 
@@ -28,11 +28,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
 
+from . import CORES, MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS, SUITES
 from . import maacore, maaops, nativecore
-from .maacore import SEGMENT_BLOCKS
 from .wordcore import Block, Octet
-
-SUITES = ("T1", "T2", "T3", "T4", "ANNEX_E", "LONG")
 
 # Row counts of the published tables.  Where the corpus splits a row
 # into one check per value the totals drift apart; run_suite notes the
@@ -271,14 +269,14 @@ class _GateCore:
             tuple(map(Block.from_int, masks)))
         return {name: word.value for name, word in tr.items()}
 
-    def mac_values(self, j, k, values, limit=maacore.MESSAGE_BLOCK_LIMIT):
+    def mac_values(self, j, k, values, limit=MESSAGE_BLOCK_LIMIT):
         key = maacore.Key(Block.from_int(j), Block.from_int(k))
         blocks = map(Block.from_int, values)
         return maacore.mac_blocks(key, blocks, limit).value
 
 
-_CORES = {"gate": _GateCore(), "native": nativecore}
-CORES = (*_CORES, "both")
+# each core's adapter, in the order of CORES, whose last name, "both", has none
+_CORES = dict(zip(CORES, (_GateCore(), nativecore)))
 
 
 def _chain(core, j, k, blocks):

@@ -11,12 +11,17 @@ Messages longer than 256 blocks are processed in segments: the MAC of
 each segment is fed as the leading block of the next one, restarting the
 registers from their prelude values, and the last segment's result is
 the overall MAC.  MacStream reproduces this cycle by cycle.
+
+The limits and the errors of a refused message are the package root's,
+shared with nativecore; this core imports nothing of the other.
 """
 
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import EmptyMessageError, MessageLimitError, LIMIT_BELOW_ONE
+from . import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS
 from .wordcore import (
     _OCTETS, Block, add_block, and_block, or_block, xor_block,
 )
@@ -24,27 +29,6 @@ from .maaops import (
     FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
     byt, cyc, mul1, mul2, mul2a, pat, q,
 )
-
-# ISO's bound on message length, in 32-bit blocks.  Not inherent to the
-# algorithm, so callers may raise or lower it per stream.
-MESSAGE_BLOCK_LIMIT = 1_000_000
-
-SEGMENT_BLOCKS = 256
-
-
-class EmptyMessageError(ValueError):
-    """The MAC of a zero-block message is undefined; we reject it."""
-
-    def __str__(self):
-        return "the MAC of an empty message is undefined"
-
-
-class MessageLimitError(ValueError):
-    """MessageLimitError(limit): the message has more blocks than limit."""
-
-    def __str__(self):
-        return (f"message exceeds the {self.args[0]}-block limit "
-                f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
 
 
 @dataclass(frozen=True)
@@ -192,7 +176,7 @@ class MacStream:
 
     def __init__(self, key, limit=MESSAGE_BLOCK_LIMIT):
         if limit < 1:
-            raise ValueError("block limit must be at least 1")
+            raise ValueError(LIMIT_BELOW_ONE)
         self.limit = limit
         self.prelude = prelude(key)
         self._regs = self.prelude[:3]

@@ -3,8 +3,8 @@
 Same algorithm as maaops/maacore, re-expressed over plain ints with
 64-bit intermediate products.  It serves two purposes: a fast core for
 real use, and a differential oracle for the gate-level construction
-(and vice versa; neither shares code with the other beyond this module's
-boundary conversions).
+(and vice versa).  Neither core imports the other: the limits and the
+errors of a refused message are the package root's, which both import.
 
 The carry folds are written out literally, step for step, rather than as
 % reductions: a remainder would agree with the fold almost everywhere
@@ -20,10 +20,8 @@ import struct
 from itertools import islice
 from operator import attrgetter
 
-from .maacore import (
-    EmptyMessageError, MESSAGE_BLOCK_LIMIT, MessageLimitError, SEGMENT_BLOCKS,
-)
-from .wordcore import Block
+from . import EmptyMessageError, MessageLimitError, LIMIT_BELOW_ONE
+from . import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS
 
 MASK32 = 0xFFFFFFFF
 
@@ -31,10 +29,6 @@ FIX1_OR = 0x02040801
 FIX1_AND = 0xBFEF7FDF
 FIX2_OR = 0x00804021
 FIX2_AND = 0x7DFEFBFF
-
-
-def cyc(w):
-    return (w << 1 | w >> 31) & MASK32
 
 
 # BYT adjusts only 0x00 and 0xFF bytes: PAT digit "1"
@@ -157,7 +151,7 @@ def main_loop(x, y, v, w, block):
 def loop_trace(x, y, v, w, block, masks=(FIX1_OR, FIX1_AND, FIX2_OR, FIX2_AND)):
     """Instrumented iteration; masks is (or1, and1, or2, and2)."""
     or1, and1, or2, and2 = masks
-    vp = cyc(v)
+    vp = (v << 1 | v >> 31) & MASK32
     e = vp ^ w
     xm = x ^ block
     ym = y ^ block
@@ -184,6 +178,8 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
     after at most one segment past the limit has been read.  Each segment
     is range-checked as a whole before it runs.
     """
+    if limit < 1:
+        raise ValueError(LIMIT_BELOW_ONE)
     x0, y0, v0, w, s, t = prelude(j, k)
     it = iter(values)
     count = 0
@@ -218,7 +214,9 @@ def words(chunks):
         yield int.from_bytes(carry.ljust(4, b"\0"), "big")
 
 
+# kept only because perfbench/run.py times it (ROADMAP.md, item 1)
 def native_mac(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
     """Block-typed front door, bit-identical to the gate-level stream."""
+    from .wordcore import Block
     values = map(attrgetter("value"), blocks)
     return Block.from_int(mac_values(key.J.value, key.K.value, values, limit))

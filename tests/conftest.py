@@ -1,3 +1,20 @@
+import os
+
+import pytest
+
+
+@pytest.fixture
+def child_env():
+    """The environment with this checkout's package first on PYTHONPATH;
+    pytest's own pythonpath setting does not reach a child interpreter."""
+    import maa
+    src = os.path.dirname(os.path.dirname(maa.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 _BY_NODE = {}
 _ROWS = {}
 

@@ -364,33 +364,44 @@ def test_bench(capsys):
     assert run(capsys, "bench", "--blocks", "0")[0] == 2
 
 
-def child_env():
-    """The environment with this checkout's package first on PYTHONPATH;
-    pytest's own pythonpath setting does not reach a child interpreter."""
-    src = os.path.dirname(os.path.dirname(maacore.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
-
-
-def test_console_entry_point():
+def test_console_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "maa.cli", "selftest", "--suite", "long",
          "--core", "native"],
-        capture_output=True, text=True, env=child_env())
+        capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert "LONG" in proc.stdout
 
 
-def test_closed_pipe_ends_quietly_with_sigpipe_status():
+# `python -m maa.cli`, then the names of every module the child loaded
+_CLI_THEN_MODULES = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('maa.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(*sorted(sys.modules), file=sys.stderr)\n")
+
+
+def test_mac_loads_only_the_native_core(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_THEN_MODULES, "mac", "--key", KEY,
+         "--hex", "55555555AAAAAAAA"],
+        capture_output=True, text=True, env=child_env)
+    assert (proc.returncode, proc.stdout) == (0, "F14D6E28\n")
+    loaded = set(proc.stderr.split())
+    assert {"maa", "maa.nativecore"} <= loaded    # maa.cli ran as __main__
+    assert not loaded & {"maa.wordcore", "maa.maaops", "maa.maacore",
+                         "maa.kat", "dataclasses"}
+
+
+def test_closed_pipe_ends_quietly_with_sigpipe_status(child_env):
     # a reader that stops early (`maa trace ... | head -1`) is not an error
     # worth a traceback, nor a success: the status is 128 + SIGPIPE
     path = os.path.join(os.path.dirname(maacore.__file__), "vectors.txt")
     proc = subprocess.Popen(
         [sys.executable, "-m", "maa.cli", "trace", "--key", KEY,
          "--input", path],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env)
     assert proc.stdout.readline().startswith(b"key ")
     proc.stdout.close()
     assert proc.stderr.read() == b""

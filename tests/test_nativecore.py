@@ -152,6 +152,27 @@ def test_error_paths():
             nativecore.mac_values(1, 2, values)
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_both_cores_refuse_a_limit_below_one_alike(limit):
+    def unread():
+        raise AssertionError("a block was read")
+        yield
+
+    key = Key.from_hex("00000001", "00000002")
+    refusals = [
+        lambda: nativecore.mac_values(1, 2, unread(), limit=limit),
+        lambda: kat._CORES["gate"].mac_values(1, 2, unread(), limit=limit),
+        lambda: maacore.MacStream(key, limit),
+        lambda: maacore.mac_blocks(key, unread(), limit),
+        lambda: maacore.mac_message(key, b"\1", limit),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert info.type is ValueError
+        assert str(info.value) == "block limit must be at least 1"
+
+
 @given(st.binary(min_size=1, max_size=64), st.lists(st.integers(0, 64)))
 def test_words_match_message_blocks(payload, cuts):
     # any split into chunks, 1-byte and empty chunks included, gives the
