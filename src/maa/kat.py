@@ -28,9 +28,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
 
-from . import CORES, MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS, SUITES
-from . import maacore, maaops, nativecore
-from .wordcore import Block, Octet
+from . import CORES, MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS, SUITES, nativecore
 
 # Row counts of the published tables.  Where the corpus splits a row
 # into one check per value the totals drift apart; run_suite notes the
@@ -229,7 +227,14 @@ class _GateCore:
     Ints become Blocks, or the PAT octet an Octet, and results leave as
     .value.  Each call looks the core function up on its module, so what
     is bound there at call time runs; maacore.prelude keeps its last key.
+    The gate modules load when the first op is looked up, not with kat.
     """
+
+    def __getattribute__(self, name):
+        global maacore, maaops, Block, Octet
+        from . import maacore, maaops
+        from .wordcore import Block, Octet
+        return super().__getattribute__(name)
 
     def mul1(self, a, b):
         return maaops.mul1(Block.from_int(a), Block.from_int(b)).value

@@ -19,8 +19,8 @@ operand guarantees this.
 """
 
 from .wordcore import (
-    Block, Octet, X00, XFF,
-    add_block, add_half, half_from_octet, mul_block, mul_half,
+    Block, Octet, X00, X01, XFF,
+    add_block, add_half, mul_block, mul_half,
     shift_octet, xor_octet, add_block_carry,
     Half, ONE,
 )
@@ -115,5 +115,5 @@ def mul2a(a, b):
 
 def q(o):
     """(o + 1) squared, as a block."""
-    h = add_half(half_from_octet(o), Half.from_int(1))
+    h = add_half(Half(X00, o), Half(X00, X01))
     return mul_half(h, h)

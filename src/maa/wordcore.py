@@ -9,12 +9,14 @@ throughout: bit index 0 of an octet is its most significant bit, octet o1
 of a block is its most significant byte.  An operation with two results,
 an adder's carry and sum or a product's two halves, returns them as a tuple.
 
-Three tables below the octet level are built once, at import: the full
-adder's eight-row truth table, by calling add_bit and car_bit; the lookup
-from a bit pattern to its interned octet; and zero-extension of an octet
-to a half-word.  Only the pure single-octet operations are memoized per
-call.  Memoizing a pure function is lookup-table reuse; each table entry
-is still computed once through the full gate construction.
+Two tables below the octet level are built once, at import: the full
+adder's eight-row truth table, by calling add_bit and car_bit, and the
+lookup from a bit pattern to its interned octet.  Only the pure
+single-octet operations are memoized per call.  Memoizing a pure function
+is lookup-table reuse; each table entry is still computed once through the
+full gate construction.  Inside the multipliers mul_half and mul_block,
+octets pass from adder to adder as plain values, the wires of a dataflow
+node; a Half or Block is built only at their boundary.
 """
 
 import re
@@ -260,38 +262,42 @@ def mul_octet(a, b):
 
 # ------------------------------------------------------ half-word arithmetic
 
-_HALVES = tuple(Half(X00, o) for o in _OCTETS)
-
-
-def half_from_octet(o):
-    """Zero-extend an octet to a half-word."""
-    return _HALVES[o.value]
-
-
 def add_half(a, b):
     c2, s2 = add_octet_carry(a.o2, b.o2, ZERO)
     _, s1 = add_octet_carry(a.o1, b.o1, c2)
     return Half(s1, s2)
 
 
-def mul_half(a, b):
-    """32-bit product of two half-words from four 8-bit partial products.
+def _mul16(a1, a2, b1, b2):
+    """The four octets of the product (a1 a2) * (b1 b2), from four 8-bit
+    partial products summed column by column, each hN below one column of
+    the schoolbook layout.  Each step adds a zero-extended octet to the
+    column so far: the low octets first, their carry into the high ones."""
+    h3 = mul_octet(a1, b1)
+    h4 = mul_octet(a1, b2)
+    h5 = mul_octet(a2, b1)
+    h6 = mul_octet(a2, b2)
+    # h7 = h4.o2 + (h5.o2 + h6.o1)
+    c, lo = add_octet_carry(h5.o2, h6.o1, ZERO)
+    hi = add_octet_carry(X00, X00, c)[1]
+    c, h7 = add_octet_carry(h4.o2, lo, ZERO)
+    up7 = add_octet_carry(X00, hi, c)[1]
+    # h8 = up7 + (h3.o2 + (h4.o1 + h5.o1))
+    c, lo = add_octet_carry(h4.o1, h5.o1, ZERO)
+    hi = add_octet_carry(X00, X00, c)[1]
+    c, lo = add_octet_carry(h3.o2, lo, ZERO)
+    hi = add_octet_carry(X00, hi, c)[1]
+    c, h8 = add_octet_carry(up7, lo, ZERO)
+    up8 = add_octet_carry(X00, hi, c)[1]
+    # h9 = up8 + h3.o1: the product fits 32 bits, so the high sum is unread
+    c, h9 = add_octet_carry(up8, h3.o1, ZERO)
+    add_octet_carry(X00, X00, c)
+    return h9, h8, h7, h6.o2
 
-    The cross terms are accumulated column by column through the octet
-    adders; each hN below is one column of the schoolbook layout.
-    """
-    h3 = mul_octet(a.o1, b.o1)
-    h4 = mul_octet(a.o1, b.o2)
-    h5 = mul_octet(a.o2, b.o1)
-    h6 = mul_octet(a.o2, b.o2)
-    h7 = add_half(half_from_octet(h4.o2),
-                  add_half(half_from_octet(h5.o2), half_from_octet(h6.o1)))
-    h8 = add_half(half_from_octet(h7.o1),
-                  add_half(half_from_octet(h3.o2),
-                           add_half(half_from_octet(h4.o1),
-                                    half_from_octet(h5.o1))))
-    h9 = add_half(half_from_octet(h8.o1), half_from_octet(h3.o1))
-    return Block(h9.o2, h8.o2, h7.o2, h6.o2)
+
+def mul_half(a, b):
+    """32-bit product of two half-words."""
+    return Block(*_mul16(a.o1, a.o2, b.o1, b.o2))
 
 
 # ----------------------------------------------------------- block arithmetic
@@ -325,17 +331,12 @@ def add_block(a, b):
     return add_block_carry(a, b)[1]
 
 
-def upper_half(w):
-    return Half(w.o1, w.o2)
-
-
-def lower_half(w):
-    return Half(w.o3, w.o4)
-
-
-def block_from_half(h):
-    """Zero-extend a half-word to a block."""
-    return Block(X00, X00, h.o1, h.o2)
+def _add32(a3, a4, b):
+    """X00 X00 a3 a4 plus the four octets b, low octet first, carry dropped."""
+    c, s4 = add_octet_carry(a4, b[3], ZERO)
+    c, s3 = add_octet_carry(a3, b[2], c)
+    c, s2 = add_octet_carry(X00, b[1], c)
+    return add_octet_carry(X00, b[0], c)[1], s2, s3, s4
 
 
 def mul_block(a, b):
@@ -343,23 +344,17 @@ def mul_block(a, b):
 
     Four 16x16 partial products; the middle columns are gathered into w3
     and w4 whose upper halves carry into the next column up, and w5 closes
-    the top.  The two blocks are assembled from the low halves of w5, w4,
-    w3 and w22.
+    the top, each four octets summed with a zero-extended half.  The two
+    blocks are assembled from the low halves of w5, w4, w3 and w22.
     """
-    au, al = upper_half(a), lower_half(a)
-    bu, bl = upper_half(b), lower_half(b)
-    w11 = mul_half(au, bu)
-    w12 = mul_half(au, bl)
-    w21 = mul_half(al, bu)
-    w22 = mul_half(al, bl)
-    w3 = add_block(block_from_half(lower_half(w12)),
-                   add_block(block_from_half(lower_half(w21)),
-                             block_from_half(upper_half(w22))))
-    w4 = add_block(block_from_half(upper_half(w3)),
-                   add_block(block_from_half(lower_half(w11)),
-                             add_block(block_from_half(upper_half(w12)),
-                                       block_from_half(upper_half(w21)))))
-    w5 = add_block(block_from_half(upper_half(w4)),
-                   block_from_half(upper_half(w11)))
-    return (Block(w5.o3, w5.o4, w4.o3, w4.o4),
-            Block(w3.o3, w3.o4, w22.o3, w22.o4))
+    w11 = _mul16(a.o1, a.o2, b.o1, b.o2)
+    w12 = _mul16(a.o1, a.o2, b.o3, b.o4)
+    w21 = _mul16(a.o3, a.o4, b.o1, b.o2)
+    w22 = _mul16(a.o3, a.o4, b.o3, b.o4)
+    w3 = _add32(w12[2], w12[3],
+                _add32(w21[2], w21[3], (X00, X00, w22[0], w22[1])))
+    w4 = _add32(w3[0], w3[1], _add32(
+        w11[2], w11[3], _add32(w12[0], w12[1], (X00, X00, w21[0], w21[1]))))
+    w5 = _add32(w4[0], w4[1], (X00, X00, w11[0], w11[1]))
+    return (Block(w5[2], w5[3], w4[2], w4[3]),
+            Block(w3[2], w3[3], w22[2], w22[3]))

@@ -394,6 +394,17 @@ def test_mac_loads_only_the_native_core(child_env):
                          "maa.kat", "dataclasses"}
 
 
+def test_native_selftest_loads_no_gate_module(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_THEN_MODULES, "selftest", "--core",
+         "native"], capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("selftest: 263/263 checks passed\n")
+    loaded = set(proc.stderr.split())
+    assert {"maa.nativecore", "maa.kat"} <= loaded
+    assert not loaded & {"maa.wordcore", "maa.maaops", "maa.maacore"}
+
+
 def test_closed_pipe_ends_quietly_with_sigpipe_status(child_env):
     # a reader that stops early (`maa trace ... | head -1`) is not an error
     # worth a traceback, nor a success: the status is 128 + SIGPIPE
