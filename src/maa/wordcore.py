@@ -2,19 +2,26 @@
 
 Everything is built upward from single-bit gates: ripple-carry adders,
 shift-and-add multipliers, bitwise logic applied position by position.
-Host integers appear only as labels (for rendering, hashing, and conversion
-at the package boundary; above the octet, computed only when read); no
+Host integers appear only as labels (for rendering, hashing, interning, and
+conversion at the package boundary; above the octet, computed only when
+read); no
 arithmetic result is ever produced by a native + or *.  Big-endian holds
 throughout: bit index 0 of an octet is its most significant bit, octet o1
 of a block is its most significant byte.  An operation with two results,
 an adder's carry and sum or a product's two halves, returns them as a tuple.
 
-Two tables below the octet level are built once, at import: the full
-adder's eight-row truth table, by calling add_bit and car_bit, and the
-lookup from a bit pattern to its interned octet.  Only the pure
-single-octet operations are memoized per call.  Memoizing a pure function
-is lookup-table reuse; each table entry is still computed once through the
-full gate construction.  Inside the multipliers mul_half and mul_block,
+Three tables are built once, at import: the full adder's eight-row truth
+table, by calling add_bit and car_bit, the lookup from a bit pattern to its
+interned octet, and the 512 (carry, sum) results an octet adder can give.
+Only the pure single-octet operations are memoized per call.  Memoizing a
+pure function is lookup-table reuse; each table entry is still computed
+once through the full gate construction.  Their results are interned, as
+the octets are: an adder's miss returns one of the 512 results, and a
+product's miss returns the one Half of that product, made when the product
+is first computed and kept in a store of 65,536 slots.  Each table's
+entries are bounded by its keys: 131,072 for add_octet_carry (two octets
+and a carry bit), 65,536 for mul_octet and for each of and_octet, or_octet
+and xor_octet.  Inside the multipliers mul_half and mul_block,
 octets pass from adder to adder as plain values, the wires of a dataflow
 node; a Half or Block is built only at their boundary.
 """
@@ -104,6 +111,9 @@ _BY_BITS = {o.bits: o for o in _OCTETS}
 X00 = _OCTETS[0x00]
 X01 = _OCTETS[0x01]
 XFF = _OCTETS[0xFF]
+
+# _SUMS[carry, bits] is the interned (carry, sum) result of an octet adder.
+_SUMS = {(c, o.bits): (c, o) for c in (ZERO, ONE) for o in _OCTETS}
 
 
 _HEX_WORD = re.compile("[0-9A-Fa-f]{8}")
@@ -230,7 +240,7 @@ def add_octet_carry(a, b, cin=ZERO):
     carry = cin
     for i in range(7, -1, -1):
         bits[i], carry = _FULL_ADDER[a.bits[i]][b.bits[i]][carry]
-    return carry, Octet.from_bits(bits)
+    return _SUMS[carry, tuple(bits)]
 
 
 def add_octet(a, b):
@@ -238,6 +248,10 @@ def add_octet(a, b):
 
 
 # ------------------------------------------------------- octet multiplication
+
+# _PRODUCTS[v] is the interned Half of product v, made when first computed.
+_PRODUCTS = [None] * 0x10000
+
 
 @cache
 def mul_octet(a, b):
@@ -257,7 +271,11 @@ def mul_octet(a, b):
                                     ZERO)
             if c == ONE:
                 hi = add_octet(hi, X01)
-    return Half(hi, lo)
+    v = hi.value << 8 | lo.value
+    product = _PRODUCTS[v]
+    if product is None:
+        product = _PRODUCTS[v] = Half(hi, lo)
+    return product
 
 
 # ------------------------------------------------------ half-word arithmetic

@@ -405,6 +405,35 @@ def test_native_selftest_loads_no_gate_module(child_env):
     assert not loaded & {"maa.wordcore", "maa.maaops", "maa.maacore"}
 
 
+# `python -m maa.cli`, then the child's peak RSS in KiB (Linux VmHWM)
+_CLI_THEN_PEAK = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('maa.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        print(*[l.split()[1] for l in fh if l.startswith('VmHWM')],\n"
+    "              file=sys.stderr)\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from Linux /proc")
+def test_mac_memory_does_not_grow_with_the_file(tmp_path, child_env):
+    # 2 KiB and 2 MiB files: a MAC that held the file, or its words, would
+    # peak tens of MiB higher on the large one
+    peaks = []
+    for nbytes in (2 << 10, 2 << 20):
+        path = tmp_path / f"{nbytes}.bin"
+        path.write_bytes(bytes(range(256)) * (nbytes // 256))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI_THEN_PEAK, "mac", "--key", KEY,
+             "--input", str(path)], capture_output=True, text=True,
+            env=child_env)
+        assert proc.returncode == 0 and len(proc.stdout) == 9
+        peaks.append(int(proc.stderr))
+    assert peaks[1] - peaks[0] < 4 << 10
+
+
 def test_closed_pipe_ends_quietly_with_sigpipe_status(child_env):
     # a reader that stops early (`maa trace ... | head -1`) is not an error
     # worth a traceback, nor a success: the status is 128 + SIGPIPE

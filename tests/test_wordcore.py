@@ -83,6 +83,31 @@ def test_octet_multiplier_edges():
         assert mul_octet(Octet.from_int(a), Octet.from_int(b)).value == a * b
 
 
+def test_memo_results_are_interned():
+    o = Octet.from_int
+    assert (add_octet_carry(o(200), o(100), ONE)
+            is add_octet_carry(o(100), o(200), ONE))
+    assert mul_octet(o(2), o(3)) is mul_octet(o(3), o(2))
+    assert mul_octet(o(2), o(3)) is mul_octet(o(1), o(6))
+    pairs = [(o(a), o(b)) for a in range(256) for b in range(0, 256, 7)]
+
+    def sweep():
+        return ([add_octet_carry(a, b, c)
+                 for a, b in pairs for c in (ZERO, ONE)],
+                [mul_octet(a, b) for a, b in pairs])
+
+    sums, products = sweep()
+    assert len({id(s) for s in sums}) <= 512
+    assert len({id(p) for p in products}) == len({p.value for p in products})
+    # the tables forget their keys, not the results: a second sweep from
+    # cleared tables returns the very same objects
+    add_octet_carry.cache_clear()
+    mul_octet.cache_clear()
+    again_sums, again_products = sweep()
+    assert all(x is y for x, y in zip(sums + products,
+                                      again_sums + again_products))
+
+
 WORD_TYPES = ((Half, 16), (Block, 32))
 
 
