@@ -25,7 +25,6 @@ Suites:
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from importlib import resources
 
 from . import CORES, MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS, SUITES, nativecore
@@ -61,23 +60,12 @@ class CorpusError(ValueError):
     """vectors.txt does not follow its own grammar."""
 
 
-@dataclass(frozen=True)
-class VectorRecord:
-    suite: str
-    name: str
-    op: str
-    inputs: dict
-    outputs: dict
+VectorRecord = namedtuple("VectorRecord", "suite name op inputs outputs")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    record: str
-    check: str
-    core: str
-    want: str
-    got: str
+class CheckResult(namedtuple("CheckResult",
+                             "suite record check core want got")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -88,12 +76,8 @@ class CheckResult:
         return f"{self.core}:{self.suite}/{self.record}/{self.check}"
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    core: str
-    checks: list
-    notes: list
+class SuiteReport(namedtuple("SuiteReport", "suite core checks notes")):
+    __slots__ = ()
 
     @property
     def passed(self):

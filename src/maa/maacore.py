@@ -177,6 +177,8 @@ class MacStream:
     def __init__(self, key, limit=MESSAGE_BLOCK_LIMIT):
         if limit < 1:
             raise ValueError(LIMIT_BELOW_ONE)
+        if not isinstance(key, Key):
+            raise TypeError(f"expected a Key, got {type(key).__name__}")
         self.limit = limit
         self.prelude = prelude(key)
         self._regs = self.prelude[:3]

@@ -19,10 +19,9 @@ operand guarantees this.
 """
 
 from .wordcore import (
-    Block, Octet, X00, X01, XFF,
-    add_block, add_half, mul_block, mul_half,
-    shift_octet, xor_octet, add_block_carry,
-    Half, ONE,
+    Block, Octet, X00, X01, XFF, ZERO, ONE,
+    add_block, add_block_carry, add_octet_carry, mul_block, _mul16,
+    shift_octet, xor_octet,
 )
 
 # Conditioning masks: OR then AND, forcing some bits on and some off so the
@@ -114,6 +113,8 @@ def mul2a(a, b):
 
 
 def q(o):
-    """(o + 1) squared, as a block."""
-    h = add_half(Half(X00, o), Half(X00, X01))
-    return mul_half(h, h)
+    """(o + 1) squared, as a block: o + 1 through two octet adders, the
+    carry of the low one into the high, then squared as 16 x 16 bits."""
+    c, lo = add_octet_carry(o, X01, ZERO)
+    hi = add_octet_carry(X00, X00, c)[1]
+    return Block(*_mul16(hi, lo, hi, lo))

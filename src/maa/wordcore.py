@@ -1,4 +1,4 @@
-"""Gate-level machine words: bits, octets, half-words and blocks.
+"""Gate-level machine words: bits, octets and blocks.
 
 Everything is built upward from single-bit gates: ripple-carry adders,
 shift-and-add multipliers, bitwise logic applied position by position.
@@ -7,8 +7,9 @@ conversion at the package boundary; above the octet, computed only when
 read); no
 arithmetic result is ever produced by a native + or *.  Big-endian holds
 throughout: bit index 0 of an octet is its most significant bit, octet o1
-of a block is its most significant byte.  An operation with two results,
-an adder's carry and sum or a product's two halves, returns them as a tuple.
+of a block is its most significant byte.  Every operation with two results,
+an adder's carry and sum or a product's high and low octets, returns them
+as a tuple.
 
 Three tables are built once, at import: the full adder's eight-row truth
 table, by calling add_bit and car_bit, the lookup from a bit pattern to its
@@ -17,13 +18,13 @@ Only the pure single-octet operations are memoized per call.  Memoizing a
 pure function is lookup-table reuse; each table entry is still computed
 once through the full gate construction.  Their results are interned, as
 the octets are: an adder's miss returns one of the 512 results, and a
-product's miss returns the one Half of that product, made when the product
-is first computed and kept in a store of 65,536 slots.  Each table's
-entries are bounded by its keys: 131,072 for add_octet_carry (two octets
-and a carry bit), 65,536 for mul_octet and for each of and_octet, or_octet
-and xor_octet.  Inside the multipliers mul_half and mul_block,
-octets pass from adder to adder as plain values, the wires of a dataflow
-node; a Half or Block is built only at their boundary.
+product's miss returns the one (hi, lo) tuple of that product, made when
+the product is first computed and kept in a store of 65,536 slots.  Each
+table's entries are bounded by its keys: 131,072 for add_octet_carry (two
+octets and a carry bit), 65,536 for mul_octet and for each of and_octet,
+or_octet and xor_octet.  Inside _mul16 and mul_block, octets pass from
+adder to adder as plain values, the wires of a dataflow node; a Block is
+built only at the multiplier's boundary.
 """
 
 import re
@@ -119,57 +120,7 @@ _SUMS = {(c, o.bits): (c, o) for c in (ZERO, ONE) for o in _OCTETS}
 _HEX_WORD = re.compile("[0-9A-Fa-f]{8}")
 
 
-class _Word:
-    """What Half and Block share: hex at full width, equality and
-    hashing by type and value, and the range check of from_int.
-
-    Each subclass sets _BITS and keeps its own slots, constructor, value
-    and _split, which builds an instance from an in-range integer.  Octet
-    stays outside: its 256 instances are interned, and the memo tables
-    hash them by identity.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def from_int(cls, v):
-        if not 0 <= v < 1 << cls._BITS:
-            raise ValueError(f"{cls.__name__.lower()} value out of range: {v}")
-        return cls._split(v)
-
-    def hex(self):
-        return f"{self.value:0{self._BITS // 4}X}"
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.hex()})"
-
-
-class Half(_Word):
-    """A 16-bit word as two octets, most significant first."""
-
-    __slots__ = ("o1", "o2")
-    _BITS = 16
-
-    def __init__(self, o1, o2):
-        self.o1 = o1
-        self.o2 = o2
-
-    @property
-    def value(self):
-        return self.o1.value << 8 | self.o2.value
-
-    @classmethod
-    def _split(cls, v):
-        return cls(_OCTETS[v >> 8], _OCTETS[v & 0xFF])
-
-
-class Block(_Word):
+class Block:
     """A 32-bit word as four octets, most significant first.
 
     The MAA's fundamental unit: message blocks, key halves, the working
@@ -177,7 +128,6 @@ class Block(_Word):
     """
 
     __slots__ = ("o1", "o2", "o3", "o4")
-    _BITS = 32
 
     def __init__(self, o1, o2, o3, o4):
         self.o1 = o1
@@ -191,7 +141,9 @@ class Block(_Word):
                 | self.o3.value << 8 | self.o4.value)
 
     @classmethod
-    def _split(cls, v):
+    def from_int(cls, v):
+        if not 0 <= v <= 0xFFFFFFFF:
+            raise ValueError(f"block value out of range: {v}")
         return cls(_OCTETS[v >> 24], _OCTETS[v >> 16 & 0xFF],
                    _OCTETS[v >> 8 & 0xFF], _OCTETS[v & 0xFF])
 
@@ -200,10 +152,22 @@ class Block(_Word):
         """Exactly eight hex digits, either case, and nothing else."""
         if not _HEX_WORD.fullmatch(s):
             raise ValueError(f"expected 8 hex digits, got {s!r}")
-        return cls._split(int(s, 16))
+        return cls.from_int(int(s, 16))
 
     def octets(self):
         return (self.o1, self.o2, self.o3, self.o4)
+
+    def hex(self):
+        return f"{self.value:08X}"
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"Block({self.hex()})"
 
 
 # ---------------------------------------------------------------- octet logic
@@ -249,7 +213,7 @@ def add_octet(a, b):
 
 # ------------------------------------------------------- octet multiplication
 
-# _PRODUCTS[v] is the interned Half of product v, made when first computed.
+# _PRODUCTS[v] is the interned (hi, lo) of product v, made when first computed.
 _PRODUCTS = [None] * 0x10000
 
 
@@ -274,48 +238,37 @@ def mul_octet(a, b):
     v = hi.value << 8 | lo.value
     product = _PRODUCTS[v]
     if product is None:
-        product = _PRODUCTS[v] = Half(hi, lo)
+        product = _PRODUCTS[v] = (hi, lo)
     return product
 
 
-# ------------------------------------------------------ half-word arithmetic
-
-def add_half(a, b):
-    c2, s2 = add_octet_carry(a.o2, b.o2, ZERO)
-    _, s1 = add_octet_carry(a.o1, b.o1, c2)
-    return Half(s1, s2)
-
+# ------------------------------------------------------ 16x16 multiplication
 
 def _mul16(a1, a2, b1, b2):
     """The four octets of the product (a1 a2) * (b1 b2), from four 8-bit
     partial products summed column by column, each hN below one column of
     the schoolbook layout.  Each step adds a zero-extended octet to the
     column so far: the low octets first, their carry into the high ones."""
-    h3 = mul_octet(a1, b1)
-    h4 = mul_octet(a1, b2)
-    h5 = mul_octet(a2, b1)
-    h6 = mul_octet(a2, b2)
-    # h7 = h4.o2 + (h5.o2 + h6.o1)
-    c, lo = add_octet_carry(h5.o2, h6.o1, ZERO)
+    h3hi, h3lo = mul_octet(a1, b1)
+    h4hi, h4lo = mul_octet(a1, b2)
+    h5hi, h5lo = mul_octet(a2, b1)
+    h6hi, h6lo = mul_octet(a2, b2)
+    # h7 = h4lo + (h5lo + h6hi)
+    c, lo = add_octet_carry(h5lo, h6hi, ZERO)
     hi = add_octet_carry(X00, X00, c)[1]
-    c, h7 = add_octet_carry(h4.o2, lo, ZERO)
+    c, h7 = add_octet_carry(h4lo, lo, ZERO)
     up7 = add_octet_carry(X00, hi, c)[1]
-    # h8 = up7 + (h3.o2 + (h4.o1 + h5.o1))
-    c, lo = add_octet_carry(h4.o1, h5.o1, ZERO)
+    # h8 = up7 + (h3lo + (h4hi + h5hi))
+    c, lo = add_octet_carry(h4hi, h5hi, ZERO)
     hi = add_octet_carry(X00, X00, c)[1]
-    c, lo = add_octet_carry(h3.o2, lo, ZERO)
+    c, lo = add_octet_carry(h3lo, lo, ZERO)
     hi = add_octet_carry(X00, hi, c)[1]
     c, h8 = add_octet_carry(up7, lo, ZERO)
     up8 = add_octet_carry(X00, hi, c)[1]
-    # h9 = up8 + h3.o1: the product fits 32 bits, so the high sum is unread
-    c, h9 = add_octet_carry(up8, h3.o1, ZERO)
+    # h9 = up8 + h3hi: the product fits 32 bits, so the high sum is unread
+    c, h9 = add_octet_carry(up8, h3hi, ZERO)
     add_octet_carry(X00, X00, c)
-    return h9, h8, h7, h6.o2
-
-
-def mul_half(a, b):
-    """32-bit product of two half-words."""
-    return Block(*_mul16(a.o1, a.o2, b.o1, b.o2))
+    return h9, h8, h7, h6lo
 
 
 # ----------------------------------------------------------- block arithmetic

@@ -402,7 +402,8 @@ def test_native_selftest_loads_no_gate_module(child_env):
     assert proc.stdout.endswith("selftest: 263/263 checks passed\n")
     loaded = set(proc.stderr.split())
     assert {"maa.nativecore", "maa.kat"} <= loaded
-    assert not loaded & {"maa.wordcore", "maa.maaops", "maa.maacore"}
+    assert not loaded & {"maa.wordcore", "maa.maaops", "maa.maacore",
+                         "dataclasses"}
 
 
 # `python -m maa.cli`, then the child's peak RSS in KiB (Linux VmHWM)

@@ -246,6 +246,18 @@ def test_push_rejects_blocks_that_are_not_blocks():
         mac_blocks(key, [Block.from_int(1), 2])
 
 
+def test_streams_reject_keys_that_are_not_keys():
+    # caught at the boundary, before the prelude reads key.J
+    block = Block.from_int(1)
+    for bad in (("a", "b"), None, 5, [block, block]):
+        name = type(bad).__name__
+        for run in (lambda: MacStream(bad),
+                    lambda: mac_blocks(bad, [block]),
+                    lambda: mac_message(bad, b"abcd")):
+            with pytest.raises(TypeError, match=f"expected a Key, got {name}"):
+                run()
+
+
 def test_key_from_hex_validates():
     key = Key.from_hex("00ff00ff", "00000000")
     assert key.J.hex() == "00FF00FF"

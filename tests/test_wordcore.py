@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 from maa import maacore
 from maa.maaops import addc
 from maa.wordcore import (
-    Block, Half, Octet, ONE, ZERO,
-    add_bit, add_block, add_block_carry, add_half,
+    Block, Octet, ONE, ZERO,
+    add_bit, add_block, add_block_carry,
     add_octet, add_octet_carry, and_block, and_octet,
-    car_bit, mul_block, mul_half, mul_octet,
+    car_bit, mul_block, mul_octet,
     or_block, or_octet, shift_octet, xor_block, xor_octet,
 )
 
 octets = st.integers(0, 255)
-halves = st.integers(0, 0xFFFF)
 words = st.integers(0, 0xFFFFFFFF)
 
 
@@ -75,12 +74,14 @@ def test_octet_adder(a, b, cin):
 
 @given(octets, octets)
 def test_octet_multiplier(a, b):
-    assert mul_octet(Octet.from_int(a), Octet.from_int(b)).value == a * b
+    hi, lo = mul_octet(Octet.from_int(a), Octet.from_int(b))
+    assert hi.value << 8 | lo.value == a * b
 
 
 def test_octet_multiplier_edges():
     for a, b in [(0, 0), (0, 255), (255, 0), (255, 255), (1, 255), (128, 2)]:
-        assert mul_octet(Octet.from_int(a), Octet.from_int(b)).value == a * b
+        hi, lo = mul_octet(Octet.from_int(a), Octet.from_int(b))
+        assert hi.value << 8 | lo.value == a * b
 
 
 def test_memo_results_are_interned():
@@ -98,7 +99,7 @@ def test_memo_results_are_interned():
 
     sums, products = sweep()
     assert len({id(s) for s in sums}) <= 512
-    assert len({id(p) for p in products}) == len({p.value for p in products})
+    assert len({id(p) for p in products}) == len(set(products))
     # the tables forget their keys, not the results: a second sweep from
     # cleared tables returns the very same objects
     add_octet_carry.cache_clear()
@@ -108,20 +109,15 @@ def test_memo_results_are_interned():
                                       again_sums + again_products))
 
 
-WORD_TYPES = ((Half, 16), (Block, 32))
-
-
 def test_hex_round_trips():
-    assert Half.from_int(0xBEEF).hex() == "BEEF"
     assert Block.from_hex("DeadBeef").hex() == "DEADBEEF"
     assert Block.from_hex("deadbeef") == Block.from_int(0xDEADBEEF)
-    for cls, bits in WORD_TYPES:
-        assert cls.from_int(0).hex() == "0" * (bits // 4)
-        assert cls.from_int(2**bits - 1).hex() == "F" * (bits // 4)
-        assert repr(cls.from_int(5)) == f"{cls.__name__}({5:0{bits // 4}X})"
-        for v in (-1, 2**bits):
-            with pytest.raises(ValueError, match="out of range"):
-                cls.from_int(v)
+    assert Block.from_int(0).hex() == "00000000"
+    assert Block.from_int(2**32 - 1).hex() == "FFFFFFFF"
+    assert repr(Block.from_int(5)) == "Block(00000005)"
+    for v in (-1, 2**32):
+        with pytest.raises(ValueError, match="out of range"):
+            Block.from_int(v)
     # exactly eight hex digits: no prefix, separator, sign or whitespace
     for bad in ("123", "123456789", "XYZWXYZW", "0x00FF00", "00_FF_00",
                 "+00FF00F", " 00FF00F", "00FF00F ", "00FF00F\n",
@@ -136,42 +132,32 @@ def test_value_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != Block.from_int(6)
     assert a != 5
-    assert Half.from_int(7) == Half(Octet.from_int(0), Octet.from_int(7))
-    for cls, _ in WORD_TYPES:
-        x, y = cls.from_int(0x1234), cls.from_int(0x1234)
-        assert x is not y and x == y and not x != y
-        assert hash(x) == hash(y)
-        assert x != cls.from_int(0x1235)
-        assert len({x, y, cls.from_int(0x1235)}) == 2
-        # equal values of different word types are different words
-        for other, _ in WORD_TYPES:
-            if other is not cls:
-                assert x != other.from_int(0x1234)
+    assert Block.from_int(7) == Block(*map(Octet.from_int, (0, 0, 0, 7)))
+    x, y = Block.from_int(0x1234), Block.from_int(0x1234)
+    assert x is not y and x == y and not x != y
+    assert hash(x) == hash(y)
+    assert x != Block.from_int(0x1235)
+    assert len({x, y, Block.from_int(0x1235)}) == 2
+    # a block equals only a block: not its octets, nor an equal-valued octet
+    assert x != x.octets() and Block.from_int(7) != Octet.from_int(7)
     # octets are interned and the memo tables hash them by identity
     assert Octet.__hash__ is object.__hash__
 
 
 def test_labels_are_read_off_the_octets():
-    # a half-word or block stores only its octets; its value is computed
-    # when read, so it can be neither stored nor assigned
-    for cls, values in ((Block, (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)),
-                        (Half, (0, 0xFFFF))):
-        assert "value" not in cls.__slots__
-        for v in values:
-            w = cls.from_int(v)
-            assert w.value == v and cls.from_int(w.value) == w
-            with pytest.raises(AttributeError):
-                w.value = v
+    # a block stores only its octets; its value is computed when read, so
+    # it can be neither stored nor assigned
+    assert "value" not in Block.__slots__
+    for v in (0, 1, 0xFFFF, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF):
+        w = Block.from_int(v)
+        assert w.value == v and Block.from_int(w.value) == w
+        with pytest.raises(AttributeError):
+            w.value = v
 
 
 def test_block_octet_structure():
     w = Block.from_hex("01020304")
     assert [o.value for o in w.octets()] == [1, 2, 3, 4]
-
-
-@given(halves, halves)
-def test_half_adder(a, b):
-    assert add_half(Half.from_int(a), Half.from_int(b)).value == (a + b) & 0xFFFF
 
 
 @given(words, words)
@@ -188,12 +174,6 @@ def test_block_logic(a, b):
     assert and_block(wa, wb).value == a & b
     assert or_block(wa, wb).value == a | b
     assert xor_block(wa, wb).value == a ^ b
-
-
-@given(halves, halves)
-def test_half_multiplier(a, b):
-    # 16 x 16 bits fits a block exactly, so the oracle is plain *
-    assert mul_half(Half.from_int(a), Half.from_int(b)).value == a * b
 
 
 @given(words, words)
@@ -214,9 +194,6 @@ def test_block_multiplier_edges():
         assert type(product) is tuple and len(product) == 2
         assert all(type(w) is Block for w in product)
         assert product[0].value << 32 | product[1].value == a * b
-        if a <= 0xFFFF and b <= 0xFFFF:
-            half = mul_half(Half.from_int(a), Half.from_int(b))
-            assert type(half) is Block and half.value == a * b
 
 
 # Hits and misses of each octet table after a fixed gate workload from
@@ -250,6 +227,8 @@ def test_two_part_results_are_plain_tuples():
          (1, Octet.from_int(45))),
         (add_block_carry(top, two), (1, Block.from_int(1))),
         (addc(top, two), (Block.from_int(1), Block.from_int(1))),
+        (mul_octet(Octet.from_int(0xFF), Octet.from_int(0xFF)),
+         (Octet.from_int(0xFE), Octet.from_int(0x01))),
         (mul_block(top, top),
          (Block.from_int(0xFFFFFFFE), Block.from_int(0x00000001))),
     ]
