@@ -42,8 +42,7 @@ class MessageLimitError(ValueError):
 # Each public name defined elsewhere, by the module that defines it
 _LAZY = {"Block": "wordcore", "Key": "maacore", "MacStream": "maacore",
          "mac_blocks": "maacore", "mac_message": "maacore",
-         "message_blocks": "maacore", "native_mac": "nativecore",
-         "run_suite": "kat"}
+         "message_blocks": "maacore", "run_suite": "kat"}
 
 __all__ = sorted([*_LAZY, "EmptyMessageError", "MESSAGE_BLOCK_LIMIT",
                   "MessageLimitError", "SEGMENT_BLOCKS"])

@@ -59,46 +59,38 @@ def power_chain(j1, k1, p):
     powers into the H blocks.  Split out from prelude() because the
     vector tables drive it with hand-picked J1/K1/P directly.
 
-    Returns every intermediate by name, keyed as nativecore.power_chain
-    keys them: J1/K1 are the byte-adjusted key halves and P the pattern
-    octet of the raw key, J1n/J2n the MUL1/MUL2 power ladders of J1
-    (exponents 2, 4, 6, 8), K1n/K2n those of K1 (exponents 2, 4, 5, 7,
-    9), and the H blocks combine them pairwise before the final byte
-    adjustment.
+    The record is built as it is computed, keyed as nativecore's: J1n/J2n
+    are the MUL1/MUL2 power ladders of J1 (exponents 2, 4, 6, 8), K1n/K2n
+    those of K1 (exponents 2, 4, 5, 7, 9), and the H blocks combine them
+    pairwise before the final byte adjustment, H5 with Q(P).
     """
-    j12 = mul1(j1, j1)
-    j14 = mul1(j12, j12)
-    j16 = mul1(j12, j14)
-    j18 = mul1(j12, j16)
-    j22 = mul2(j1, j1)
-    j24 = mul2(j22, j22)
-    j26 = mul2(j22, j24)
-    j28 = mul2(j22, j26)
-    k12 = mul1(k1, k1)
-    k14 = mul1(k12, k12)
-    k15 = mul1(k1, k14)
-    k17 = mul1(k12, k15)
-    k19 = mul1(k12, k17)
-    k22 = mul2(k1, k1)
-    k24 = mul2(k22, k22)
-    k25 = mul2(k1, k24)
-    k27 = mul2(k22, k25)
-    k29 = mul2(k22, k27)
-    h4 = xor_block(j14, j24)
-    h6 = xor_block(j16, j26)
-    h8 = xor_block(j18, j28)
-    h0 = xor_block(k15, k25)
-    h5 = mul2(h0, q(p))
-    h7 = xor_block(k17, k27)
-    h9 = xor_block(k19, k29)
-    return dict(
-        J1=j1, K1=k1, P=p,
-        J12=j12, J14=j14, J16=j16, J18=j18,
-        J22=j22, J24=j24, J26=j26, J28=j28,
-        K12=k12, K14=k14, K15=k15, K17=k17, K19=k19,
-        K22=k22, K24=k24, K25=k25, K27=k27, K29=k29,
-        H0=h0, H4=h4, H5=h5, H6=h6, H7=h7, H8=h8, H9=h9,
-    )
+    im = {}
+    im["J12"] = mul1(j1, j1)
+    im["J14"] = mul1(im["J12"], im["J12"])
+    im["J16"] = mul1(im["J12"], im["J14"])
+    im["J18"] = mul1(im["J12"], im["J16"])
+    im["J22"] = mul2(j1, j1)
+    im["J24"] = mul2(im["J22"], im["J22"])
+    im["J26"] = mul2(im["J22"], im["J24"])
+    im["J28"] = mul2(im["J22"], im["J26"])
+    im["K12"] = mul1(k1, k1)
+    im["K14"] = mul1(im["K12"], im["K12"])
+    im["K15"] = mul1(k1, im["K14"])
+    im["K17"] = mul1(im["K12"], im["K15"])
+    im["K19"] = mul1(im["K12"], im["K17"])
+    im["K22"] = mul2(k1, k1)
+    im["K24"] = mul2(im["K22"], im["K22"])
+    im["K25"] = mul2(k1, im["K24"])
+    im["K27"] = mul2(im["K22"], im["K25"])
+    im["K29"] = mul2(im["K22"], im["K27"])
+    im["H4"] = xor_block(im["J14"], im["J24"])
+    im["H6"] = xor_block(im["J16"], im["J26"])
+    im["H8"] = xor_block(im["J18"], im["J28"])
+    im["H0"] = xor_block(im["K15"], im["K25"])
+    im["H5"] = mul2(im["H0"], q(p))
+    im["H7"] = xor_block(im["K17"], im["K27"])
+    im["H9"] = xor_block(im["K19"], im["K29"])
+    return im
 
 
 @lru_cache(maxsize=1)

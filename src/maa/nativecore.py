@@ -83,8 +83,8 @@ def q(o):
 
 def power_chain(j1, k1, p):
     """Prelude power ladders and H blocks, keyed like the gate-level
-    intermediates record."""
-    im = {"J1": j1, "K1": k1, "P": p}
+    intermediates record and built as they are computed."""
+    im = {}
     im["J12"] = mul1(j1, j1)
     im["J14"] = mul1(im["J12"], im["J12"])
     im["J16"] = mul1(im["J12"], im["J14"])

@@ -197,7 +197,7 @@ def shift_octet(a, n):
 # ------------------------------------------------------------- octet addition
 
 @cache
-def add_octet_carry(a, b, cin=ZERO):
+def add_octet_carry(a, b, cin):
     """Ripple-carry 8-bit adder: (carry, sum) with
     carry * 256 + sum = a + b + cin."""
     bits = [ZERO] * 8
@@ -205,10 +205,6 @@ def add_octet_carry(a, b, cin=ZERO):
     for i in range(7, -1, -1):
         bits[i], carry = _FULL_ADDER[a.bits[i]][b.bits[i]][carry]
     return _SUMS[carry, tuple(bits)]
-
-
-def add_octet(a, b):
-    return add_octet_carry(a, b, ZERO)[1]
 
 
 # ------------------------------------------------------- octet multiplication
@@ -230,11 +226,12 @@ def mul_octet(a, b):
     hi = lo = X00
     for i in range(8):
         if a.bits[i] == ONE:
-            hi = add_octet(hi, Octet.from_bits(wide[7 - i:15 - i]))
+            hi = add_octet_carry(hi, Octet.from_bits(wide[7 - i:15 - i]),
+                                 ZERO)[1]
             c, lo = add_octet_carry(lo, Octet.from_bits(wide[15 - i:23 - i]),
                                     ZERO)
             if c == ONE:
-                hi = add_octet(hi, X01)
+                hi = add_octet_carry(hi, X01, ZERO)[1]
     v = hi.value << 8 | lo.value
     product = _PRODUCTS[v]
     if product is None:

@@ -235,9 +235,19 @@ def test_selftest_all_native(capsys):
     code, out, _ = run(capsys, "selftest", "--suite", "all",
                        "--core", "native")
     assert code == 0
-    assert "selftest: 263/263 checks passed" in out
-    assert "ANNEX_E" in out and "LONG" in out
-    assert "note:" in out
+    assert out == (
+        "T1       native  54/54 ok\n"
+        "note: T1: corpus splits the published rows into 54 checks "
+        "(the tables list 36)\n"
+        "T2       native  78/78 ok\n"
+        "note: T2: corpus splits the published rows into 78 checks "
+        "(the tables list 56)\n"
+        "T3       native  64/64 ok\n"
+        "T4       native  45/45 ok\n"
+        "ANNEX_E  native  18/18 ok\n"
+        "LONG     native  4/4 ok\n"
+        "selftest: 263/263 checks passed\n"
+    )
 
 
 def test_selftest_rejects_unknown_suite(capsys):
@@ -254,21 +264,23 @@ def test_no_subcommand_is_a_usage_error(capsys):
 
 def test_scenario_walkthrough(tmp_path, capsys):
     path = tmp_path / "demo.scenario"
+    # a comment line, then the README's script as written
     path.write_text(
         "# two-block walkthrough\n"
-        "key 00FF00FF 00000000\n"
-        "block 55555555\n"
-        "expect X 48B204D6\n"
+        "key 00FF00FF 00000000    # J K; next cycle starts fresh\n"
+        "block 55555555           # block fed on every following cycle\n"
+        "expect X 48B204D6        # checked after the next cycle completes\n"
         "expect Y 5834A585\n"
-        "cycle\n"
+        "cycle                    # run one cycle (or: cycle 12)\n"
         "block AAAAAAAA\n"
-        "expect Z F14D6E28   # MAC after the second block\n"
+        "expect Z F14D6E28        # Z is the MAC as of that cycle\n"
     )
     code, out, _ = run(capsys, "scenario", str(path))
     assert code == 0
-    assert "line 4: expect X 48B204D6 ok" in out
-    assert "line 8: expect Z F14D6E28 ok" in out
-    assert "scenario: 3 passed, 0 failed" in out
+    assert out == ("line 4: expect X 48B204D6 ok\n"
+                   "line 5: expect Y 5834A585 ok\n"
+                   "line 8: expect Z F14D6E28 ok\n"
+                   "scenario: 3 passed, 0 failed\n")
 
 
 def test_scenario_cycle_count_and_reset(tmp_path, capsys):

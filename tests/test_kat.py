@@ -2,7 +2,8 @@
 
 import pytest
 
-from maa import kat
+from maa import kat, maacore, nativecore
+from maa.wordcore import Block, Octet
 
 
 def test_corpus_shape():
@@ -28,6 +29,20 @@ def test_every_op_has_a_record_and_yields_its_outputs():
         declared = kat._OPS[op].outs or set(record.outputs)
         for core in kat._CORES.values():
             assert declared <= set(kat._outs(record, core)), (op, core)
+
+
+def test_core_records_hold_exactly_the_corpus_fields():
+    # each core's prelude and loop records carry what the corpus checks,
+    # and nothing the caller passed in
+    j1, k1, p = 0x0103F703, 0x0001FFFF, 0x0F
+    gate = maacore.power_chain(Block.from_int(j1), Block.from_int(k1),
+                               Octet.from_int(p))
+    native = nativecore.power_chain(j1, k1, p)
+    assert set(gate) == set(native) == set(kat._CHAIN_FIELDS)
+    regs = (0x21, 0x22, 0x23, 0x24, 0x55555555)
+    trace_keys = {k.capitalize() for k in kat._TRACE_KEYS}
+    assert set(maacore.loop_trace(*map(Block.from_int, regs))) == trace_keys
+    assert set(nativecore.loop_trace(*regs)) == trace_keys
 
 
 def test_load_vectors_is_cached():

@@ -11,7 +11,7 @@ from maa import kat, maacore, nativecore, wordcore
 
 PUBLIC = ["Block", "EmptyMessageError", "Key", "MESSAGE_BLOCK_LIMIT",
           "MacStream", "MessageLimitError", "SEGMENT_BLOCKS", "mac_blocks",
-          "mac_message", "message_blocks", "native_mac", "run_suite"]
+          "mac_message", "message_blocks", "run_suite"]
 
 # The maa modules that importing each one loads.  Neither core loads the
 # other, and the command line loads only the native core until a command
@@ -39,8 +39,7 @@ def test_each_module_imports_on_its_own(module, child_env):
 
 def test_public_names_resolve_to_their_modules():
     assert maa.__all__ == PUBLIC
-    homes = {"Block": [wordcore], "native_mac": [nativecore],
-             "run_suite": [kat]}
+    homes = {"Block": [wordcore], "run_suite": [kat]}
     for name in PUBLIC:
         for module in homes.get(name, [maacore]):
             assert getattr(maa, name) is getattr(module, name), name
