@@ -24,6 +24,8 @@ _BENCH_KEY = (0x80018001, 0x80018000)
 
 _CHUNK_BYTES = 64 << 10
 
+_BENCH_PASSES = 5
+
 
 class _UsageError(Exception):
     pass
@@ -237,26 +239,28 @@ def cmd_scenario(args):
 
 
 def cmd_bench(args):
-    from . import kat, maacore, wordcore
+    from . import kat, maacore
     if args.blocks < 1:
         raise _UsageError("--blocks wants a positive count")
     rng = random.Random(0x1D1A)
     values = [rng.getrandbits(32) for _ in range(args.blocks)]
     macs = set()
     for name, core in kat._CORES.items():
-        t0 = time.perf_counter()
-        z = core.mac_values(*_BENCH_KEY, values, limit=args.blocks)
-        dt = time.perf_counter() - t0
-        rate = args.blocks / dt if dt > 0 else float("inf")
-        print(f"{name:7} {args.blocks} blocks in {dt:.4f}s "
-              f"({rate:,.0f} blocks/s)  MAC {z:08X}")
-        macs.add(z)
-    for name, table in [*vars(wordcore).items(), *vars(maacore).items()]:
-        if hasattr(table, "cache_info"):    # the gate core's memo tables
-            hits, misses, _, entries = table.cache_info()
-            print(f"memo    {name:15} {entries:6,} entries {hits:10,} hits "
-                  f"{misses:8,} misses  hit ratio "
-                  f"{hits / max(hits + misses, 1):.3f}")
+        rates = []
+        for _ in range(_BENCH_PASSES):
+            t0 = time.perf_counter()
+            z = core.mac_values(*_BENCH_KEY, values, limit=args.blocks)
+            dt = time.perf_counter() - t0
+            rates.append(args.blocks / dt if dt > 0 else float("inf"))
+            macs.add(z)
+        rates.sort()
+        print(f"{name:7} {args.blocks} blocks, median of {_BENCH_PASSES} "
+              f"passes {rates[_BENCH_PASSES // 2]:,.0f} blocks/s "
+              f"(range {rates[0]:,.0f}-{rates[-1]:,.0f})  MAC {z:08X}")
+    # the gate core's one memo table, the last key's prelude
+    hits, misses, _, entries = maacore.prelude.cache_info()
+    print(f"memo    prelude {entries:6,} entries {hits:10,} hits "
+          f"{misses:8,} misses  hit ratio {hits / max(hits + misses, 1):.3f}")
     if len(macs) > 1:
         print("cores disagree", file=sys.stderr)
         return 1

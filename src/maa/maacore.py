@@ -22,9 +22,7 @@ from functools import lru_cache
 
 from . import EmptyMessageError, MessageLimitError, LIMIT_BELOW_ONE
 from . import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS
-from .wordcore import (
-    _OCTETS, Block, add_block, and_block, or_block, xor_block,
-)
+from .wordcore import Block, add_block, and_block, or_block, xor_block
 from .maaops import (
     FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
     byt, cyc, mul1, mul2, mul2a, pat, q,
@@ -128,8 +126,8 @@ def loop_trace(x, y, v, w, block, masks=TRUE_MASKS):
 
 
 def _loop(x, y, v, w, block, masks):
-    # the body of both; Z is left to loop_trace, since computing it in
-    # main_loop would only grow xor_octet's memo table on every block
+    # the body of both; Z is left to loop_trace, since main_loop's
+    # callers never read it
     or1, and1, or2, and2 = masks
     vp = cyc(v)
     e = xor_block(vp, w)
@@ -210,9 +208,7 @@ def message_blocks(payload):
     if not payload:
         raise EmptyMessageError()
     padded = bytes(payload) + b"\x00" * (-len(payload) % 4)
-    o = _OCTETS
-    return [Block(o[a], o[b], o[c], o[d])
-            for a, b, c, d in struct.iter_unpack("4B", padded)]
+    return [Block(v) for (v,) in struct.iter_unpack(">I", padded)]
 
 
 def mac_message(key, payload, limit=MESSAGE_BLOCK_LIMIT):

@@ -2,14 +2,19 @@
 
 Rotation, the two multiplier-conditioning masks, byte adjustment of
 key-derived values, carry-fold addition, and the three modular
-multiplications, all expressed over the gate-level words of wordcore.
+multiplications, all expressed over the gate-level words of wordcore:
+CYC is wiring, PAT and BYT are per-byte OR and AND reductions, and every
+sum and product comes from wordcore's adder and multiplier.  As there,
+no + - * / // % ** touches a value here, and a tier-1 test checks it.
 
 MUL1 and MUL2 reduce a 64-bit product modulo 2**32 - 1 and 2**32 - 2 by
 folding the upper half back into the lower with end-around carries.  The
 fold sequences below are literal: where the true residue has two
-encodings the algorithm's pick is whatever the fold produces, and the
-test vectors pin that pick.  Congruence with the mathematical residue is
-a separate property checked in the tests.
+encodings the algorithm's pick is whatever the fold produces.  The
+published vectors pin MUL2's pick; MUL1's they do not, and the tests pin
+it against closed forms written from arithmetic: MUL1(a, b) is 0 if
+ab = 0 and else ((ab - 1) mod (2**32 - 1)) + 1, and MUL2(a, b) is ab if
+ab < 2 and else ((ab - 2) mod (2**32 - 2)) + 2.
 
 MUL2A is the main-loop variant of MUL2 that drops the carry of the
 upper-half doubling.  It agrees with MUL2 whenever the product's upper
@@ -19,9 +24,7 @@ operand guarantees this.
 """
 
 from .wordcore import (
-    Block, Octet, X00, X01, XFF, ZERO, ONE,
-    add_block, add_block_carry, add_octet_carry, mul_block, _mul16,
-    shift_octet, xor_octet,
+    MASK32, Block, Octet, adder, add_block, mul_block, multiplier,
 )
 
 # Conditioning masks: OR then AND, forcing some bits on and some off so the
@@ -31,28 +34,40 @@ FIX1_AND_MASK = Block.from_hex("BFEF7FDF")
 FIX2_OR_MASK = Block.from_hex("00804021")
 FIX2_AND_MASK = Block.from_hex("7DFEFBFF")
 
-_BLOCK_ZERO = Block.from_int(0)
-_BLOCK_ONE = Block.from_int(1)
+# Bit 0 of each byte of a block pair, read as one 64-bit word
+_BYTE_LSBS = 0x0101010101010101
 
 
 def cyc(w):
     """Circular left rotation by one bit; the MSB wraps around to the LSB."""
-    bits = w.o1.bits + w.o2.bits + w.o3.bits + w.o4.bits
-    rot = bits[1:] + bits[:1]
-    return Block(Octet.from_bits(rot[0:8]), Octet.from_bits(rot[8:16]),
-                 Octet.from_bits(rot[16:24]), Octet.from_bits(rot[24:32]))
+    return Block(w.value << 1 & MASK32 | w.value >> 31)
 
 
-def _needs_adjust(o):
-    return o is X00 or o is XFF
+def _flags(pair):
+    """Bit 0 of each byte of the 64-bit pair set iff the byte is 0x00 or
+    0xFF: three layers of shifted gates bring each byte's OR and AND down
+    to its bit 0, and a byte is flagged if its OR is 0 or its AND is 1."""
+    o = pair | pair >> 4
+    o |= o >> 2
+    o |= o >> 1
+    a = pair & pair >> 4
+    a &= a >> 2
+    a &= a >> 1
+    return (o ^ _BYTE_LSBS | a) & _BYTE_LSBS
+
+
+def _gather(flags):
+    """The eight byte flags wired into one octet, byte 0 of the pair (the
+    most significant) onto its bit 7."""
+    flags |= flags >> 7
+    flags |= flags >> 14
+    flags |= flags >> 28
+    return flags & 0xFF
 
 
 def pat(w1, w2):
     """Pattern octet: bit i is ONE iff byte i of w1 || w2 is 0x00 or 0xFF."""
-    return Octet.from_bits(tuple(
-        ONE if _needs_adjust(o) else 0
-        for o in w1.octets() + w2.octets()
-    ))
+    return Octet.from_int(_gather(_flags(w1.value << 32 | w2.value)))
 
 
 def byt(w1, w2):
@@ -62,26 +77,25 @@ def byt(w1, w2):
     byte sees the pattern prefix up to and including its own position;
     bytes outside {0x00, 0xFF} pass through untouched.
     """
-    p = pat(w1, w2)
-
-    def adj(o, mask):
-        return xor_octet(o, mask) if _needs_adjust(o) else o
-
-    w = Block(adj(w1.o1, shift_octet(p, 7)),
-              adj(w1.o2, shift_octet(p, 6)),
-              adj(w1.o3, shift_octet(p, 5)),
-              adj(w1.o4, shift_octet(p, 4)))
-    wp = Block(adj(w2.o1, shift_octet(p, 3)),
-               adj(w2.o2, shift_octet(p, 2)),
-               adj(w2.o3, shift_octet(p, 1)),
-               adj(w2.o4, p))
-    return w, wp
+    pair = w1.value << 32 | w2.value
+    flags = _flags(pair)
+    p = _gather(flags)
+    # byte k from the least significant sees p >> k; a flag at a byte's
+    # bit 0 spreads to all eight of its bits
+    mask = 0
+    for k in range(8):
+        mask |= p >> k << (k << 3)
+    flags |= flags << 1
+    flags |= flags << 2
+    flags |= flags << 4
+    out = pair ^ mask & flags
+    return Block(out >> 32), Block(out & MASK32)
 
 
 def addc(w1, w2):
     """Full 33-bit addition as the blocks (carry, sum), the carry 0 or 1."""
-    c, s = add_block_carry(w1, w2)
-    return _BLOCK_ONE if c == ONE else _BLOCK_ZERO, s
+    c, s = adder(w1.value, w2.value, 0, 32)
+    return Block(c), Block(s)
 
 
 def mul1(a, b):
@@ -113,8 +127,8 @@ def mul2a(a, b):
 
 
 def q(o):
-    """(o + 1) squared, as a block: o + 1 through two octet adders, the
-    carry of the low one into the high, then squared as 16 x 16 bits."""
-    c, lo = add_octet_carry(o, X01, ZERO)
-    hi = add_octet_carry(X00, X00, c)[1]
-    return Block(*_mul16(hi, lo, hi, lo))
+    """(o + 1) squared, as a block: o plus a carry in through the 8-bit
+    adder, its carry out as the ninth bit, then squared as 16 x 16 bits."""
+    c, s = adder(o.value, 0, 1, 8)
+    v = c << 8 | s
+    return Block(multiplier(v, v, 16))

@@ -8,8 +8,9 @@ errors of a refused message are the package root's, which both import.
 
 The carry folds are written out literally, step for step, rather than as
 % reductions: a remainder would agree with the fold almost everywhere
-but may pick the other representative of a degenerate residue, and the
-published vectors pin the fold's pick.
+but may pick the other representative of a degenerate residue.  The
+published vectors pin MUL2's pick but not MUL1's; the tests pin both
+against closed forms (a remainder MUL1 passes the whole corpus).
 
 main_loop, coda and mac_values share one inlined main-loop body, _fold;
 loop_trace is a separate, instrumented copy.  BYT and PAT are table

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from maa import cli, maacore, nativecore, wordcore
+from maa import cli, kat, maacore, nativecore, wordcore
 from maa.maacore import (
     EmptyMessageError, MESSAGE_BLOCK_LIMIT, MessageLimitError, SEGMENT_BLOCKS,
 )
@@ -363,6 +363,7 @@ def test_bench(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if "MAC" in l]
     assert len(lines) == 2
+    assert all("median of 5 passes" in l and "(range " in l for l in lines)
     macs = {l.split()[-1] for l in lines}
     assert len(macs) == 1    # both cores agree
     memo = {l.split()[1]: l.split() for l in out.splitlines()
@@ -374,6 +375,16 @@ def test_bench(capsys):
         hits, misses = (int(fields[i].replace(",", "")) for i in (4, 6))
         assert hits + misses > 0
     assert run(capsys, "bench", "--blocks", "0")[0] == 2
+
+
+def test_bench_exits_1_when_the_cores_disagree(capsys, monkeypatch):
+    class Off:
+        def mac_values(self, *args, **kwargs):
+            return nativecore.mac_values(*args, **kwargs) ^ 1
+
+    monkeypatch.setitem(kat._CORES, "native", Off())
+    code, _, err = run(capsys, "bench", "--blocks", "3")
+    assert code == 1 and err == "cores disagree\n"
 
 
 def test_console_entry_point(child_env):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maa import nativecore
+from maa import kat, nativecore
 from maa.maacore import loop_trace
 from maa.maaops import (
     FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
     addc, byt, cyc, mul1, mul2, mul2a, pat, q,
 )
-from maa.wordcore import Block, Octet, and_block, or_block
+from maa.wordcore import Block, Octet, and_block, mul_block, or_block
 
 words = st.integers(0, 0xFFFFFFFF)
 # words built from bytes at BYT's edges (00 and FF are the bytes it
@@ -164,3 +164,92 @@ def test_multiplications_commute(a, b):
 def test_q_squares_the_incremented_byte():
     for v in range(256):
         assert q(Octet.from_int(v)).value == (v + 1) ** 2
+
+
+# Closed forms of each fold's representative, written from arithmetic and
+# not from either fold: where a residue has two encodings in 32 bits, MUL1
+# picks the nonzero one unless the product is 0, and MUL2 the one of at
+# least 2 unless the product is below 2.  The corpus pins MUL2's pick but
+# not MUL1's, so these are a third oracle next to the two cores.
+M1 = 2**32 - 1
+M2 = 2**32 - 2
+P31 = 2**31 - 1     # prime; M2 = 2 * P31
+
+
+def closed_mul1(a, b):
+    ab = a * b
+    return 0 if ab == 0 else (ab - 1) % M1 + 1
+
+
+def closed_mul2(a, b):
+    ab = a * b
+    return ab if ab < 2 else (ab - 2) % M2 + 2
+
+
+def _degenerate_pairs():
+    """Operand pairs whose product is a residue with two encodings: factor
+    pairs of M1 = 3 * 5 * 17 * 257 * 65537 and their multiples (residue 0
+    mod M1), multiples of P31 (0 mod M2) and inverse pairs mod M2 (1 mod
+    M2), with the products 0 and 1."""
+    rng = random.Random(0xF01D)
+    pairs = [(0, 0), (0, M1), (1, 1), (1, M1), (M1, M1), (M2, M2), (M1, M2)]
+    divisors = {1}
+    for prime in (3, 5, 17, 257, 65537):
+        divisors |= {d * prime for d in divisors}
+    for d in sorted(divisors):
+        for k in (1, 2, 3, 0xFF):
+            if d * k <= M1:
+                pairs.append((d * k, M1 // d))
+    for a in (P31, 2 * P31):
+        pairs += [(a, b) for b in (0, 1, 2, 3, 4, P31, 2 * P31)]
+        pairs += [(a, rng.getrandbits(32) & ~1) for _ in range(20)]
+        pairs += [(rng.getrandbits(31) & ~1, a) for _ in range(20)]
+    while len(pairs) < 600:
+        a = rng.getrandbits(rng.choice((8, 31, 32))) | 1
+        if a % P31:
+            pairs.append((a, pow(a, -1, M2)))
+    return pairs
+
+
+DEGENERATE = _degenerate_pairs()
+
+
+def test_degenerate_pairs_hit_both_encodings():
+    # the generator does reach the residues whose pick is in question,
+    # also below MUL2A's bound
+    assert {closed_mul1(a, b) for a, b in DEGENERATE} >= {0, M1}
+    low = {closed_mul2(a, b) for a, b in DEGENERATE if a * b >> 32 < 2**31}
+    assert low >= {0, 1, M2, M1}
+
+
+@pytest.mark.parametrize("core", ["gate", "native"])
+def test_folds_pick_the_closed_form_representative(core):
+    ops = kat._CORES[core]
+    for a, b in DEGENERATE:
+        assert ops.mul1(a, b) == closed_mul1(a, b), (a, b)
+        assert ops.mul2(a, b) == closed_mul2(a, b), (a, b)
+        if a * b >> 32 < 2**31:
+            assert ops.mul2a(a, b) == closed_mul2(a, b), (a, b)
+
+
+def test_multiplier_is_exact_on_degenerate_residues():
+    for a, b in DEGENERATE:
+        upper, lower = mul_block(Block.from_int(a), Block.from_int(b))
+        assert upper.value << 32 | lower.value == a * b
+
+
+def test_degenerate_block_end_to_end():
+    # key 00FF00FF/00000000 and the one block X0 ^ FFFFFFFF, so that the
+    # loop's X is FFFFFFFF, a multiple of M1: MUL1's pick reaches the MAC
+    j, k = 0x00FF00FF, 0x00000000
+    masks = (nativecore.FIX1_OR, nativecore.FIX1_AND,
+             nativecore.FIX2_OR, nativecore.FIX2_AND)
+    macs = set()
+    for ops in kat._CORES.values():
+        x0, y0, v0, w, _, _ = ops.prelude(j, k)
+        block = x0 ^ M1
+        tr = ops.loop_trace(x0, y0, v0, w, block, masks)
+        assert tr["X"] == M1
+        assert tr["Xp"] == closed_mul1(tr["X"], tr["Fpp"]) == M1
+        macs.add(ops.mac_values(j, k, [block]))
+    assert len(macs) == 1

@@ -143,7 +143,7 @@ def test_error_paths():
     with pytest.raises(EmptyMessageError):
         nativecore.mac_values(1, 2, iter([]))
     # key halves outside 32 bits are refused, not silently MAC'd
-    for j, k in ((2**40, 2), (2**32, 0), (0, -1)):
+    for j, k in ((2**40, 2), (2**32, 0), (0, -1), (-1, 2)):
         with pytest.raises(ValueError):
             nativecore.mac_values(j, k, [1])
     # and so are block values outside 32 bits
