@@ -9,7 +9,8 @@ or both, and compares every requested output.
 
 One runner serves every core through nativecore's int signatures: the
 native adapter is the nativecore module itself, and the gate adapter
-converts ints to Blocks and back.  A new core is its name in maa.CORES
+passes the gate core's own ints through, converting only a whole
+message to Blocks.  A new core is its name in maa.CORES
 (`maa selftest --core` lists them) plus an adapter in _CORES.  A new op is
 one entry in _OPS: its input names, output names and run on an adapter.
 
@@ -208,57 +209,21 @@ def _progression(i):
 class _GateCore:
     """The gate-level core behind nativecore's int signatures.
 
-    Ints become Blocks, or the PAT octet an Octet, and results leave as
-    .value.  Each call looks the core function up on its module, so what
-    is bound there at call time runs; maacore.prelude keeps its last key.
-    The gate modules load when the first op is looked up, not with kat.
+    Below its public API the gate core takes and returns ints too, so
+    every op but mac_values is the function of that name on maaops, else
+    on maacore, looked up at each call: what is bound there at call time
+    runs, and maacore.prelude keeps its last key.  mac_values converts to
+    the Key and Blocks of maacore.mac_blocks.  The gate modules load when
+    the first op is looked up, not with kat.
     """
 
-    def __getattribute__(self, name):
-        global maacore, maaops, Block, Octet
+    def __getattr__(self, name):
         from . import maacore, maaops
-        from .wordcore import Block, Octet
-        return super().__getattribute__(name)
-
-    def mul1(self, a, b):
-        return maaops.mul1(Block.from_int(a), Block.from_int(b)).value
-
-    def mul2(self, a, b):
-        return maaops.mul2(Block.from_int(a), Block.from_int(b)).value
-
-    def mul2a(self, a, b):
-        return maaops.mul2a(Block.from_int(a), Block.from_int(b)).value
-
-    def pat(self, a, b):
-        return maaops.pat(Block.from_int(a), Block.from_int(b)).value
-
-    def byt(self, a, b):
-        u, l = maaops.byt(Block.from_int(a), Block.from_int(b))
-        return u.value, l.value
-
-    def q(self, p):
-        return maaops.q(Octet.from_int(p)).value
-
-    def power_chain(self, j1, k1, p):
-        im = maacore.power_chain(Block.from_int(j1), Block.from_int(k1),
-                                 Octet.from_int(p))
-        return {name: word.value for name, word in im.items()}
-
-    def prelude(self, j, k):
-        key = maacore.Key(Block.from_int(j), Block.from_int(k))
-        return tuple(r.value for r in maacore.prelude(key))
-
-    def main_loop(self, x, y, v, w, block):
-        regs = maacore.main_loop(*map(Block.from_int, (x, y, v, w, block)))
-        return tuple(r.value for r in regs)
-
-    def loop_trace(self, x, y, v, w, block, masks):
-        tr = maacore.loop_trace(
-            *map(Block.from_int, (x, y, v, w, block)),
-            tuple(map(Block.from_int, masks)))
-        return {name: word.value for name, word in tr.items()}
+        return getattr(maaops if hasattr(maaops, name) else maacore, name)
 
     def mac_values(self, j, k, values, limit=MESSAGE_BLOCK_LIMIT):
+        from . import maacore
+        from .wordcore import Block
         key = maacore.Key(Block.from_int(j), Block.from_int(k))
         blocks = map(Block.from_int, values)
         return maacore.mac_blocks(key, blocks, limit).value

@@ -1,11 +1,15 @@
 """The three MAA phases and the streaming per-block MAC state machine.
 
-A 64-bit key (J, K) is expanded by the prelude into six blocks: starting
-values X0, Y0, V0, a per-block constant W, and two coda blocks S, T.  The
+A 64-bit key (J, K) is expanded by the prelude into six words: starting
+values X0, Y0, V0, a per-block constant W, and two coda words S, T.  The
 last key's six are kept, as a message or a trace uses one key; code that
 rebinds a gate op at run time must call prelude.cache_clear().  The main
 loop consumes one message block per step, updating X, Y and a rotating V.
 The coda runs the main loop twice more, on S then T; the MAC is XOR(X, Y).
+
+The phases take and return words as wordcore's host ints.  Block is the
+type of the public names only: Key, message_blocks, MacStream (its
+prelude, push() and mac()), mac_blocks and mac_message.
 
 Messages longer than 256 blocks are processed in segments: the MAC of
 each segment is fed as the leading block of the next one, restarting the
@@ -22,7 +26,7 @@ from functools import lru_cache
 
 from . import EmptyMessageError, MessageLimitError, LIMIT_BELOW_ONE
 from . import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS
-from .wordcore import Block, add_block, and_block, or_block, xor_block
+from .wordcore import Block, add_block
 from .maaops import (
     FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
     byt, cyc, mul1, mul2, mul2a, pat, q,
@@ -54,12 +58,12 @@ def power_chain(j1, k1, p):
     """The prelude's multiplicative core, from adjusted key halves.
 
     Raises J1 and K1 through both multiplier ladders and combines the
-    powers into the H blocks.  Split out from prelude() because the
+    powers into the H words.  Split out from prelude() because the
     vector tables drive it with hand-picked J1/K1/P directly.
 
     The record is built as it is computed, keyed as nativecore's: J1n/J2n
     are the MUL1/MUL2 power ladders of J1 (exponents 2, 4, 6, 8), K1n/K2n
-    those of K1 (exponents 2, 4, 5, 7, 9), and the H blocks combine them
+    those of K1 (exponents 2, 4, 5, 7, 9), and the H words combine them
     pairwise before the final byte adjustment, H5 with Q(P).
     """
     im = {}
@@ -81,26 +85,25 @@ def power_chain(j1, k1, p):
     im["K25"] = mul2(k1, im["K24"])
     im["K27"] = mul2(im["K22"], im["K25"])
     im["K29"] = mul2(im["K22"], im["K27"])
-    im["H4"] = xor_block(im["J14"], im["J24"])
-    im["H6"] = xor_block(im["J16"], im["J26"])
-    im["H8"] = xor_block(im["J18"], im["J28"])
-    im["H0"] = xor_block(im["K15"], im["K25"])
+    im["H4"] = im["J14"] ^ im["J24"]
+    im["H6"] = im["J16"] ^ im["J26"]
+    im["H8"] = im["J18"] ^ im["J28"]
+    im["H0"] = im["K15"] ^ im["K25"]
     im["H5"] = mul2(im["H0"], q(p))
-    im["H7"] = xor_block(im["K17"], im["K27"])
-    im["H9"] = xor_block(im["K19"], im["K29"])
+    im["H7"] = im["K17"] ^ im["K27"]
+    im["H9"] = im["K19"] ^ im["K29"]
     return im
 
 
 @lru_cache(maxsize=1)
-def prelude(key):
-    """Expand the key into (X0, Y0, V0, W, S, T).
+def prelude(j, k):
+    """Expand the key halves J, K into (X0, Y0, V0, W, S, T).
 
-    The pattern octet P comes from the raw key blocks; the power ladders
+    The pattern octet P comes from the raw key halves; the power ladders
     run on the byte-adjusted ones.
     """
-    j1, k1 = byt(key.J, key.K)
-    p = pat(key.J, key.K)
-    im = power_chain(j1, k1, p)
+    j1, k1 = byt(j, k)
+    im = power_chain(j1, k1, pat(j, k))
     x0, y0 = byt(im["H4"], im["H5"])
     v0, w = byt(im["H6"], im["H7"])
     s, t = byt(im["H8"], im["H9"])
@@ -122,7 +125,7 @@ def loop_trace(x, y, v, w, block, masks=TRUE_MASKS):
     nativecore.loop_trace keys its result.
     """
     tr = _loop(x, y, v, w, block, masks)
-    return {**tr, "Z": xor_block(tr["Xp"], tr["Yp"])}
+    return {**tr, "Z": tr["Xp"] ^ tr["Yp"]}
 
 
 def _loop(x, y, v, w, block, masks):
@@ -130,15 +133,15 @@ def _loop(x, y, v, w, block, masks):
     # callers never read it
     or1, and1, or2, and2 = masks
     vp = cyc(v)
-    e = xor_block(vp, w)
-    xm = xor_block(x, block)
-    ym = xor_block(y, block)
+    e = vp ^ w
+    xm = x ^ block
+    ym = y ^ block
     f = add_block(e, ym)
     g = add_block(e, xm)
-    fp = or_block(f, or1)
-    gp = or_block(g, or2)
-    fpp = and_block(fp, and1)
-    gpp = and_block(gp, and2)
+    fp = f | or1
+    gp = g | or2
+    fpp = fp & and1
+    gpp = gp & and2
     xp = mul1(xm, fpp)
     yp = mul2a(ym, gpp)
     return dict(Vp=vp, E=e, X=xm, Y=ym, F=f, G=g, Fp=fp, Gp=gp,
@@ -149,7 +152,7 @@ def coda(x, y, v, w, s, t):
     """Finalize: two more main-loop iterations on S then T, MAC = XOR(X, Y)."""
     x1, y1, v1 = main_loop(x, y, v, w, s)
     x2, y2, _ = main_loop(x1, y1, v1, w, t)
-    return xor_block(x2, y2)
+    return x2 ^ y2
 
 
 class MacStream:
@@ -158,10 +161,11 @@ class MacStream:
     The stream is the synchronous node of the algorithm: its state is the
     prelude, the registers (x, y, v) and the count of blocks pushed.
     push() absorbs one block and returns the registers; mac() is the MAC
-    of everything pushed so far.  At every nonzero multiple of
-    SEGMENT_BLOCKS a new segment starts: the registers restart from
-    (X0, Y0, V0) and absorb the previous segment's MAC before the block.
-    The key is consulted only at construction.
+    of everything pushed so far.  Both, and the prelude attribute, are
+    Blocks; the state inside is the core's ints.  At every nonzero
+    multiple of SEGMENT_BLOCKS a new segment starts: the registers
+    restart from (X0, Y0, V0) and absorb the previous segment's MAC
+    before the block.  The key is consulted only at construction.
     """
 
     def __init__(self, key, limit=MESSAGE_BLOCK_LIMIT):
@@ -170,8 +174,9 @@ class MacStream:
         if not isinstance(key, Key):
             raise TypeError(f"expected a Key, got {type(key).__name__}")
         self.limit = limit
-        self.prelude = prelude(key)
-        self._regs = self.prelude[:3]
+        self._pre = prelude(key.J.value, key.K.value)
+        self.prelude = tuple(map(Block, self._pre))
+        self._regs = self._pre[:3]
         self.total_blocks = 0
 
     def push(self, block):
@@ -179,19 +184,19 @@ class MacStream:
             raise TypeError(f"expected a Block, got {type(block).__name__}")
         if self.total_blocks >= self.limit:
             raise MessageLimitError(self.limit)
-        x0, y0, v0, w, _, _ = self.prelude
+        x0, y0, v0, w, _, _ = self._pre
         if self.total_blocks and self.total_blocks % SEGMENT_BLOCKS == 0:
-            self._regs = main_loop(x0, y0, v0, w, self.mac())
-        self._regs = main_loop(*self._regs, w, block)
+            self._regs = main_loop(x0, y0, v0, w, self.mac().value)
+        self._regs = main_loop(*self._regs, w, block.value)
         self.total_blocks += 1
-        return self._regs
+        return tuple(map(Block, self._regs))
 
     def mac(self):
         """MAC of all blocks pushed so far."""
         if self.total_blocks == 0:
             raise EmptyMessageError()
-        _, _, _, w, s, t = self.prelude
-        return coda(*self._regs, w, s, t)
+        _, _, _, w, s, t = self._pre
+        return Block(coda(*self._regs, w, s, t))
 
 
 def mac_blocks(key, blocks, limit=MESSAGE_BLOCK_LIMIT):

@@ -2,10 +2,11 @@
 
 Rotation, the two multiplier-conditioning masks, byte adjustment of
 key-derived values, carry-fold addition, and the three modular
-multiplications, all expressed over the gate-level words of wordcore:
-CYC is wiring, PAT and BYT are per-byte OR and AND reductions, and every
-sum and product comes from wordcore's adder and multiplier.  As there,
-no + - * / // % ** touches a value here, and a tier-1 test checks it.
+multiplications, all expressed over the gate-level words of wordcore,
+which are host ints here as there: CYC is wiring, PAT and BYT are
+per-byte OR and AND reductions, and every sum and product comes from
+wordcore's adder and multiplier.  As there, no + - * / // % ** touches a
+value here, and a tier-1 test checks it.
 
 MUL1 and MUL2 reduce a 64-bit product modulo 2**32 - 1 and 2**32 - 2 by
 folding the upper half back into the lower with end-around carries.  The
@@ -23,24 +24,22 @@ not part of the standard's text); inside the main loop the masked
 operand guarantees this.
 """
 
-from .wordcore import (
-    MASK32, Block, Octet, adder, add_block, mul_block, multiplier,
-)
+from .wordcore import MASK32, adder, add_block, mul_block, multiplier
 
 # Conditioning masks: OR then AND, forcing some bits on and some off so the
 # multiplier operands can never collapse to degenerate values.
-FIX1_OR_MASK = Block.from_hex("02040801")
-FIX1_AND_MASK = Block.from_hex("BFEF7FDF")
-FIX2_OR_MASK = Block.from_hex("00804021")
-FIX2_AND_MASK = Block.from_hex("7DFEFBFF")
+FIX1_OR_MASK = 0x02040801
+FIX1_AND_MASK = 0xBFEF7FDF
+FIX2_OR_MASK = 0x00804021
+FIX2_AND_MASK = 0x7DFEFBFF
 
-# Bit 0 of each byte of a block pair, read as one 64-bit word
+# Bit 0 of each byte of a word pair, read as one 64-bit word
 _BYTE_LSBS = 0x0101010101010101
 
 
 def cyc(w):
     """Circular left rotation by one bit; the MSB wraps around to the LSB."""
-    return Block(w.value << 1 & MASK32 | w.value >> 31)
+    return w << 1 & MASK32 | w >> 31
 
 
 def _flags(pair):
@@ -67,17 +66,17 @@ def _gather(flags):
 
 def pat(w1, w2):
     """Pattern octet: bit i is ONE iff byte i of w1 || w2 is 0x00 or 0xFF."""
-    return Octet.from_int(_gather(_flags(w1.value << 32 | w2.value)))
+    return _gather(_flags(w1 << 32 | w2))
 
 
 def byt(w1, w2):
-    """Byte adjustment: rewrite every 0x00 or 0xFF byte of a block pair.
+    """Byte adjustment: rewrite every 0x00 or 0xFF byte of a word pair.
 
     Each flagged byte is XORed with the pattern octet shifted so that the
     byte sees the pattern prefix up to and including its own position;
     bytes outside {0x00, 0xFF} pass through untouched.
     """
-    pair = w1.value << 32 | w2.value
+    pair = w1 << 32 | w2
     flags = _flags(pair)
     p = _gather(flags)
     # byte k from the least significant sees p >> k; a flag at a byte's
@@ -89,13 +88,12 @@ def byt(w1, w2):
     flags |= flags << 2
     flags |= flags << 4
     out = pair ^ mask & flags
-    return Block(out >> 32), Block(out & MASK32)
+    return out >> 32, out & MASK32
 
 
 def addc(w1, w2):
-    """Full 33-bit addition as the blocks (carry, sum), the carry 0 or 1."""
-    c, s = adder(w1.value, w2.value, 0, 32)
-    return Block(c), Block(s)
+    """Full 33-bit addition as the words (carry, sum), the carry 0 or 1."""
+    return adder(w1, w2, 0, 32)
 
 
 def mul1(a, b):
@@ -127,8 +125,9 @@ def mul2a(a, b):
 
 
 def q(o):
-    """(o + 1) squared, as a block: o plus a carry in through the 8-bit
-    adder, its carry out as the ninth bit, then squared as 16 x 16 bits."""
-    c, s = adder(o.value, 0, 1, 8)
+    """(o + 1) squared, for an octet o: o plus a carry in through the
+    8-bit adder, its carry out as the ninth bit, then squared as 16 x 16
+    bits."""
+    c, s = adder(o, 0, 1, 8)
     v = c << 8 | s
-    return Block(multiplier(v, v, 16))
+    return multiplier(v, v, 16)

@@ -215,7 +215,7 @@ def words(chunks):
         yield int.from_bytes(carry.ljust(4, b"\0"), "big")
 
 
-# kept only because perfbench/run.py times it (ROADMAP.md, item 1)
+# kept only because perfbench/run.py times it (ROADMAP.md, item 2)
 def native_mac(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
     """Block-typed front door, bit-identical to the gate-level stream."""
     from .wordcore import Block

@@ -126,14 +126,28 @@ def test_c08_full_selftest():
 def test_c09_property_suites():
     start = time.perf_counter()
 
-    # exhaustive prefix adder at 8 bits, on the width-generic code the
-    # 32- and 64-bit paths run: every (a, b, carry-in) triple
+    # exhaustive carry-completion adder at 8 bits, on the width-generic
+    # code the 32- and 64-bit paths run: every (a, b, carry-in) triple
     for a in range(256):
         for b in range(256):
             total = a + b
             assert adder(a, b, 0, 8) == (total >> 8, total & 0xFF)
             assert adder(a, b, 1, 8) == ((total + 1) >> 8,
                                          (total + 1) & 0xFF)
+
+    # and its longest carry chains at the widths the core runs: a carry
+    # that ripples through every position, and the alternating words
+    # whose sum is all ones until a carry in ripples through it
+    for width in (32, 64):
+        ones = (1 << width) - 1
+        fives = ones // 3       # 0x55...55
+        for a, b in ((ones, 1), (1, ones), (ones, ones),
+                     (fives, fives << 1), (fives << 1, fives)):
+            for cin in (0, 1):
+                total = a + b + cin
+                assert adder(a, b, cin, width) == (total >> width,
+                                                   total & ones), \
+                    (width, hex(a), hex(b), cin)
 
     # exhaustive carry-save multiplier at 8 bits: every 8x8 product
     for a in range(256):
@@ -151,9 +165,8 @@ def test_c09_property_suites():
     # and gate-core spot checks of the same laws
     for _ in range(200):
         a, b = rng.getrandbits(32), rng.getrandbits(32)
-        wa, wb = Block.from_int(a), Block.from_int(b)
-        assert maaops.mul1(wa, wb).value % (2**32 - 1) == a * b % (2**32 - 1)
-        assert maaops.mul2(wa, wb).value % (2**32 - 2) == a * b % (2**32 - 2)
+        assert maaops.mul1(a, b) % (2**32 - 1) == a * b % (2**32 - 1)
+        assert maaops.mul2(a, b) % (2**32 - 2) == a * b % (2**32 - 2)
 
     # gate versus native on whole messages, with every segment-boundary
     # straddle length included

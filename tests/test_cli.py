@@ -341,17 +341,28 @@ def test_scenario_parse_errors(tmp_path, capsys):
 
 def test_scenario_refuses_an_over_limit_cycle_before_it_runs(
         tmp_path, capsys, monkeypatch):
-    def no_cycle(*args):
-        raise AssertionError("a cycle ran")
+    calls = []
+    real = maacore.main_loop
 
-    monkeypatch.setattr(maacore, "main_loop", no_cycle)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(maacore, "main_loop", counting)
+    head = "key 00FF00FF 00000000\nblock 55555555\n"
     path = tmp_path / "long.scenario"
-    path.write_text("key 00FF00FF 00000000\nblock 55555555\n"
-                    f"cycle {2 * MESSAGE_BLOCK_LIMIT}\n")
+    # positive control: the patch sees every cycle of an accepted run
+    path.write_text(head + "cycle 3\n")
+    assert run(capsys, "scenario", str(path)) == (
+        0, "scenario: 0 passed, 0 failed\n", "")
+    assert len(calls) == 3
+    calls.clear()
+    path.write_text(head + f"cycle {2 * MESSAGE_BLOCK_LIMIT}\n")
     code, out, err = run(capsys, "scenario", str(path))
     assert (code, out) == (2, "")
     assert err == (f"error: scenario line 3: "
                    f"{MessageLimitError(MESSAGE_BLOCK_LIMIT)}\n")
+    assert calls == []
 
 
 def test_scenario_missing_file(capsys):

@@ -1,9 +1,12 @@
 """Corpus loader and suite runner."""
 
+import hashlib
+from collections import Counter
+from importlib import resources
+
 import pytest
 
 from maa import kat, maacore, nativecore
-from maa.wordcore import Block, Octet
 
 
 def test_corpus_shape():
@@ -17,6 +20,25 @@ def test_corpus_shape():
     assert checks == {"T1": 54, "T2": 78, "T3": 64, "T4": 45,
                       "ANNEX_E": 18, "LONG": 4}
     assert sum(checks.values()) == 263
+
+
+# The corpus file as committed.  It is the ground truth of both cores and
+# no value in it comes from the code under test, so any edit to it, even
+# one that both cores would pass, has to fail here and be made on purpose.
+CORPUS_SHA256 = \
+    "d988df6d7db7c4ed71a82069340c1e5a64206da48fdb8ac34c77908aa0382a9d"
+CORPUS_RECORDS = {"T1": 23, "T2": 6, "T3": 4, "T4": 1, "ANNEX_E": 2,
+                  "LONG": 4}
+
+
+def test_corpus_is_sealed():
+    raw = resources.files("maa").joinpath("vectors.txt").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == CORPUS_SHA256
+    # counted off the raw lines, independently of the parser
+    lines = raw.decode("ascii").splitlines()
+    suites = Counter(line.split()[0] for line in lines
+                     if line.strip() and not line.startswith("#"))
+    assert suites == CORPUS_RECORDS
 
 
 def test_every_op_has_a_record_and_yields_its_outputs():
@@ -35,13 +57,12 @@ def test_core_records_hold_exactly_the_corpus_fields():
     # each core's prelude and loop records carry what the corpus checks,
     # and nothing the caller passed in
     j1, k1, p = 0x0103F703, 0x0001FFFF, 0x0F
-    gate = maacore.power_chain(Block.from_int(j1), Block.from_int(k1),
-                               Octet.from_int(p))
+    gate = maacore.power_chain(j1, k1, p)
     native = nativecore.power_chain(j1, k1, p)
     assert set(gate) == set(native) == set(kat._CHAIN_FIELDS)
     regs = (0x21, 0x22, 0x23, 0x24, 0x55555555)
     trace_keys = {k.capitalize() for k in kat._TRACE_KEYS}
-    assert set(maacore.loop_trace(*map(Block.from_int, regs))) == trace_keys
+    assert set(maacore.loop_trace(*regs)) == trace_keys
     assert set(nativecore.loop_trace(*regs)) == trace_keys
 
 

@@ -13,9 +13,14 @@ from maa.maacore import (
     main_loop, message_blocks, power_chain, prelude,
 )
 from maa.maaops import byt, pat
-from maa.wordcore import Block, Octet, xor_block
+from maa.wordcore import Block
 
 B = Block.from_hex
+
+
+def W(hex_word):
+    """A word below the public API, where the gate core passes ints."""
+    return int(hex_word, 16)
 
 words = st.integers(0, 0xFFFFFFFF)
 
@@ -25,30 +30,33 @@ def _random_blocks(rng, n):
 
 
 def test_power_chain_small_key():
-    im = power_chain(B("00000100"), B("00000080"), Octet.from_int(1))
-    assert im["J12"] == B("00010000") and im["J14"] == B("00000001")
-    assert im["J28"] == B("00000004") and im["K29"] == B("00000002")
-    assert im["H4"] == B("00000003") and im["H0"] == B("00000018")
-    assert im["H5"] == B("00000060") and im["H9"] == B("80000002")
+    im = power_chain(W("00000100"), W("00000080"), 1)
+    assert im["J12"] == W("00010000") and im["J14"] == W("00000001")
+    assert im["J28"] == W("00000004") and im["K29"] == W("00000002")
+    assert im["H4"] == W("00000003") and im["H0"] == W("00000018")
+    assert im["H5"] == W("00000060") and im["H9"] == W("80000002")
 
 
 def test_prelude_realistic_key():
-    assert prelude(Key.from_hex("E6A12F07", "9D15C437")) == (
-        B("21D869BA"), B("7792F9D4"), B("C4EB1AEB"),
-        B("F6A09667"), B("6D67E884"), B("A511987A"))
+    assert prelude(W("E6A12F07"), W("9D15C437")) == (
+        W("21D869BA"), W("7792F9D4"), W("C4EB1AEB"),
+        W("F6A09667"), W("6D67E884"), W("A511987A"))
 
 
 def test_prelude_degenerate_key():
-    key = Key.from_hex("00FF00FF", "00000000")
-    pre = prelude(key)
+    j, k = W("00FF00FF"), W("00000000")
+    pre = prelude(j, k)
     # the conditioning pattern comes from the key as given, not from
     # the BYT-adjusted J1/K1; on this key the two differ
-    j1, k1 = byt(key.J, key.K)
-    assert pat(key.J, key.K).value == 0xFF != pat(j1, k1).value
-    im = power_chain(j1, k1, pat(key.J, key.K))
+    j1, k1 = byt(j, k)
+    assert pat(j, k) == 0xFF != pat(j1, k1)
+    im = power_chain(j1, k1, pat(j, k))
     assert byt(im["H4"], im["H5"]) == pre[:2]
-    assert pre == (B("4A645A01"), B("50DEC930"), B("5CCA3239"),
-                   B("FECCAA6E"), B("51EDE9C7"), B("24B66FB5"))
+    assert pre == (W("4A645A01"), W("50DEC930"), W("5CCA3239"),
+                   W("FECCAA6E"), W("51EDE9C7"), W("24B66FB5"))
+    # a stream reports the same six as Blocks
+    assert MacStream(Key.from_hex("00FF00FF", "00000000")).prelude == \
+        tuple(map(Block, pre))
 
 
 def test_prelude_keeps_one_key_and_survives_alternating_keys():
@@ -65,31 +73,31 @@ def test_prelude_keeps_one_key_and_survives_alternating_keys():
     info = prelude.cache_info()
     assert info.maxsize == 1 and info.currsize == 1
     prelude.cache_clear()
-    assert prelude(Key.from_hex("80018001", "80018000")) == \
-        prelude(Key.from_hex("80018001", "80018000"))
+    assert prelude(W("80018001"), W("80018000")) == \
+        prelude(W("80018001"), W("80018000"))
     assert prelude.cache_info()[:2] == (1, 1)    # hits, misses
     prelude.cache_clear()
     assert prelude.cache_info().currsize == 0
 
 
 def test_loop_trace_with_substitute_masks():
-    masks = (B("00000004"), B("FFFFFFF7"), B("00000001"), B("FFFFFFFB"))
-    tr = loop_trace(B("00000002"), B("00000003"), B("00000003"),
-                    B("00000003"), B("00000005"), masks)
-    assert tr["Vp"] == B("00000006") and tr["E"] == B("00000005")
-    assert tr["F"] == B("0000000B") and tr["Gpp"] == B("00000009")
-    assert tr["Xp"] == B("00000031") and tr["Yp"] == B("00000036")
-    assert tr["Z"] == B("00000007")
+    masks = (W("00000004"), W("FFFFFFF7"), W("00000001"), W("FFFFFFFB"))
+    tr = loop_trace(W("00000002"), W("00000003"), W("00000003"),
+                    W("00000003"), W("00000005"), masks)
+    assert tr["Vp"] == W("00000006") and tr["E"] == W("00000005")
+    assert tr["F"] == W("0000000B") and tr["Gpp"] == W("00000009")
+    assert tr["Xp"] == W("00000031") and tr["Yp"] == W("00000036")
+    assert tr["Z"] == W("00000007")
 
 
 def test_three_block_trace_chains():
     # X', Y', V' of each iteration feed the next one
-    masks = (B("00000002"), B("FFFFFFFB"), B("00000001"), B("FFFFFFFB"))
-    x, y, v, w = B("00000001"), B("00000002"), B("00000001"), B("00000001")
+    masks = (W("00000002"), W("FFFFFFFB"), W("00000001"), W("FFFFFFFB"))
+    x, y, v, w = W("00000001"), W("00000002"), W("00000001"), W("00000001")
     finals = []
     for m in ("00000000", "00000001", "00000002"):
-        tr = loop_trace(x, y, v, w, B(m), masks)
-        finals.append((tr["Xp"].hex(), tr["Yp"].hex(), tr["Z"].hex()))
+        tr = loop_trace(x, y, v, w, W(m), masks)
+        finals.append(tuple(f"{tr[r]:08X}" for r in ("Xp", "Yp", "Z")))
         x, y, v = tr["Xp"], tr["Yp"], tr["Vp"]
     assert finals == [
         ("00000003", "00000002", "00000001"),
@@ -101,19 +109,17 @@ def test_three_block_trace_chains():
 @given(words, words, words, words, words)
 @settings(max_examples=60, deadline=None)
 def test_loop_trace_true_masks_is_main_loop(x, y, v, w, m):
-    bx, by, bv, bw, bm = map(Block.from_int, (x, y, v, w, m))
-    tr = loop_trace(bx, by, bv, bw, bm, TRUE_MASKS)
-    assert (tr["Xp"], tr["Yp"], tr["Vp"]) == main_loop(bx, by, bv, bw, bm)
-    assert tr["Z"] == xor_block(tr["Xp"], tr["Yp"])
+    tr = loop_trace(x, y, v, w, m, TRUE_MASKS)
+    assert (tr["Xp"], tr["Yp"], tr["Vp"]) == main_loop(x, y, v, w, m)
+    assert tr["Z"] == tr["Xp"] ^ tr["Yp"]
 
 
 @given(words, words, words, words, words, words)
 @settings(max_examples=40, deadline=None)
 def test_coda_is_two_more_iterations(x, y, v, w, s, t):
-    bx, by, bv, bw, bs, bt = map(Block.from_int, (x, y, v, w, s, t))
-    x1, y1, v1 = main_loop(bx, by, bv, bw, bs)
-    x2, y2, _ = main_loop(x1, y1, v1, bw, bt)
-    assert coda(bx, by, bv, bw, bs, bt) == xor_block(x2, y2)
+    x1, y1, v1 = main_loop(x, y, v, w, s)
+    x2, y2, _ = main_loop(x1, y1, v1, w, t)
+    assert coda(x, y, v, w, s, t) == x2 ^ y2
 
 
 def test_stream_zero_message_chain():
@@ -136,7 +142,8 @@ def test_mac_after_every_push_is_the_coda_of_the_registers():
     _, _, _, w, s, t = stream.prelude
     for block in _random_blocks(rng, SEGMENT_BLOCKS + 3):
         regs = stream.push(block)
-        assert stream.mac() == coda(*regs, w, s, t)
+        assert stream.mac().value == coda(*(r.value for r in regs),
+                                          w.value, s.value, t.value)
 
 
 def test_stream_matches_batch_with_interleaved_reads():
@@ -153,8 +160,8 @@ def test_stream_matches_batch_with_interleaved_reads():
 def test_segment_boundary_inserts_the_previous_result():
     rng = random.Random(7)
     key = Key.from_hex("E6A12F07", "9D15C437")
-    x0, y0, v0, w, s, t = prelude(key)
-    blocks = _random_blocks(rng, SEGMENT_BLOCKS + 1)
+    x0, y0, v0, w, s, t = prelude(key.J.value, key.K.value)
+    blocks = [b.value for b in _random_blocks(rng, SEGMENT_BLOCKS + 1)]
 
     def fold(seq):
         x, y, v = x0, y0, v0
@@ -162,14 +169,17 @@ def test_segment_boundary_inserts_the_previous_result():
             x, y, v = main_loop(x, y, v, w, b)
         return x, y, v
 
+    def mac(seq):
+        return mac_blocks(key, map(Block, seq)).value
+
     # first segment alone: a plain fold, no insertion
-    assert mac_blocks(key, blocks[:SEGMENT_BLOCKS]) == \
+    assert mac(blocks[:SEGMENT_BLOCKS]) == \
         coda(*fold(blocks[:SEGMENT_BLOCKS]), w, s, t)
     # one block past the boundary: the first segment's result restarts
     # the registers before the leftover blocks
     z1 = coda(*fold(blocks[:SEGMENT_BLOCKS]), w, s, t)
     want = coda(*fold([z1] + blocks[SEGMENT_BLOCKS:]), w, s, t)
-    assert mac_blocks(key, blocks) == want
+    assert mac(blocks) == want
 
 
 def test_message_blocks_pads_with_zero_bytes():
@@ -223,6 +233,11 @@ def test_mac_message_refuses_an_over_limit_payload_before_any_work(
         return real(*args)
 
     monkeypatch.setattr(maacore, "main_loop", counting)
+    # positive control: the patch sees the work of an accepted message,
+    # one step per block and two in the coda
+    mac_message(key, bytes(4 * limit), limit=limit)
+    assert len(calls) == limit + 2
+    calls.clear()
     with pytest.raises(MessageLimitError):
         mac_message(key, bytes(4 * limit + 1), limit=limit)
     assert calls == []

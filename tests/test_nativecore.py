@@ -55,26 +55,24 @@ def test_zero_chain_and_increments():
 
 @given(words, words)
 def test_multiplications_match_gate(a, b):
-    wa, wb = Block.from_int(a), Block.from_int(b)
-    assert nativecore.mul1(a, b) == maaops.mul1(wa, wb).value
-    assert nativecore.mul2(a, b) == maaops.mul2(wa, wb).value
-    assert nativecore.mul2a(a, b) == maaops.mul2a(wa, wb).value
+    assert nativecore.mul1(a, b) == maaops.mul1(a, b)
+    assert nativecore.mul2(a, b) == maaops.mul2(a, b)
+    assert nativecore.mul2a(a, b) == maaops.mul2a(a, b)
 
 
 @given(words, words, words, words, words)
 @settings(max_examples=50, deadline=None)
 def test_main_loop_matches_gate(x, y, v, w, m):
     got = nativecore.main_loop(x, y, v, w, m)
-    want = maacore.main_loop(*(Block.from_int(i) for i in (x, y, v, w)),
-                             Block.from_int(m))
-    assert got == tuple(b.value for b in want)
+    want = maacore.main_loop(x, y, v, w, m)
+    assert got == want
 
 
 @given(words, words)
 @settings(max_examples=15, deadline=None)
 def test_prelude_matches_gate(j, k):
-    pre = maacore.prelude(Key(Block.from_int(j), Block.from_int(k)))
-    assert nativecore.prelude(j, k) == tuple(r.value for r in pre)
+    pre = maacore.prelude(j, k)
+    assert nativecore.prelude(j, k) == pre
 
 
 def test_mac_matches_gate_across_a_boundary():

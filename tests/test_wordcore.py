@@ -5,47 +5,38 @@ from pathlib import Path
 from types import MemberDescriptorType
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maa import maacore, maaops, wordcore
+from maa import maacore, maaops, nativecore, wordcore
 from maa.maaops import addc
-from maa.wordcore import (
-    Block, Octet,
-    add_block, adder, and_block,
-    full_adder, mul_block, multiplier, or_block, xor_block,
-)
+from maa.wordcore import Block, add_block, adder, mul_block, multiplier
 
 octets = st.integers(0, 255)
 words = st.integers(0, 0xFFFFFFFF)
 
 
 def test_bit_adder_truth_table():
+    # the adder at one bit is a full adder: (carry, sum)
     for a in (0, 1):
         for b in (0, 1):
             for c in (0, 1):
                 total = a + b + c
-                assert full_adder(a, b, c) == (total >> 1, total & 1)
-
-
-def test_octet_interning():
-    for v in range(256):
-        assert Octet.from_int(v) is Octet.from_int(v)
-        assert Octet.from_int(v).value == v
-    for bad in (-1, 256):
-        with pytest.raises(ValueError, match="out of range"):
-            Octet.from_int(bad)
+                assert adder(a, b, c, 1) == (total >> 1, total & 1)
 
 
 def test_octet_logic_exhaustive():
-    # each word-wide gate bank on every pair of octet-sized words
-    for a in range(256):
-        wa = Block(a)
-        for b in range(256):
-            wb = Block(b)
-            assert and_block(wa, wb).value == a & b
-            assert or_block(wa, wb).value == a | b
-            assert xor_block(wa, wb).value == a ^ b
+    # PAT's and BYT's per-byte OR and AND reductions on every octet, in
+    # every byte of the pair, the other bytes neither 00 nor FF
+    for v in range(256):
+        for pos in range(8):
+            pair = 0x0101010101010101 & ~(0xFF << (pos << 3)) | v << (pos << 3)
+            a, b = pair >> 32, pair & 0xFFFFFFFF
+            flagged = v in (0x00, 0xFF)
+            assert maaops.pat(a, b) == (flagged << pos) == \
+                nativecore.pat(a, b)
+            assert maaops.byt(a, b) == nativecore.byt(a, b)
+            assert (maaops.byt(a, b) == (a, b)) is not flagged
 
 
 @given(octets, octets, st.integers(0, 1))
@@ -92,10 +83,6 @@ def test_value_equality_and_hash():
     assert hash(x) == hash(y)
     assert x != Block.from_int(0x1235)
     assert len({x, y, Block.from_int(0x1235)}) == 2
-    # a block equals only a block, not an equal-valued octet
-    assert Block.from_int(7) != Octet.from_int(7)
-    # octets are interned, so they hash by identity
-    assert Octet.__hash__ is object.__hash__
 
 
 def test_value_is_a_plain_slot():
@@ -113,31 +100,36 @@ def test_block_octet_structure():
     # and for PAT's bit order alike
     w = maacore.message_blocks(bytes([1, 2, 3, 4]))[0]
     assert w == Block.from_hex("01020304")
-    assert maaops.pat(Block.from_hex("00010101"), w).value == 0x80
-    assert maaops.pat(w, Block.from_hex("010101FF")).value == 0x01
+    assert maaops.pat(0x00010101, w.value) == 0x80
+    assert maaops.pat(w.value, 0x010101FF) == 0x01
 
 
 @given(words, words)
 def test_block_adder(a, b):
-    carry, total = addc(Block.from_int(a), Block.from_int(b))
-    assert carry.value == (a + b) >> 32
-    assert total.value == (a + b) & 0xFFFFFFFF
-    assert add_block(Block.from_int(a), Block.from_int(b)).value == (a + b) & 0xFFFFFFFF
+    carry, total = addc(a, b)
+    assert carry == (a + b) >> 32
+    assert total == (a + b) & 0xFFFFFFFF
+    assert add_block(a, b) == (a + b) & 0xFFFFFFFF
 
 
-@given(words, words)
-def test_block_logic(a, b):
-    wa, wb = Block.from_int(a), Block.from_int(b)
-    assert and_block(wa, wb).value == a & b
-    assert or_block(wa, wb).value == a | b
-    assert xor_block(wa, wb).value == a ^ b
+@given(st.lists(words, min_size=9, max_size=9))
+@settings(deadline=None)
+def test_block_logic(ws):
+    # the main loop's XOR, OR and AND banks, under substitute masks
+    x, y, v, w, m, *masks = ws
+    or1, and1, or2, and2 = masks
+    tr = maacore.loop_trace(x, y, v, w, m, masks)
+    assert (tr["E"], tr["X"], tr["Y"]) == (tr["Vp"] ^ w, x ^ m, y ^ m)
+    assert (tr["Fp"], tr["Gp"]) == (tr["F"] | or1, tr["G"] | or2)
+    assert (tr["Fpp"], tr["Gpp"]) == (tr["Fp"] & and1, tr["Gp"] & and2)
+    assert tr["Z"] == tr["Xp"] ^ tr["Yp"]
 
 
 @given(words, words)
 def test_block_multiplier(a, b):
-    upper, lower = mul_block(Block.from_int(a), Block.from_int(b))
-    assert upper.value == a * b >> 32
-    assert lower.value == a * b & 0xFFFFFFFF
+    upper, lower = mul_block(a, b)
+    assert upper == a * b >> 32
+    assert lower == a * b & 0xFFFFFFFF
 
 
 # Words at the octet and half-word seams, and at the ends of the range.
@@ -147,16 +139,15 @@ EDGES = (0, 1, 0xFF, 0xFF00, 0xFFFF, 0x10000, 0x80000000, 0xFFFF0000,
 
 def test_block_multiplier_edges():
     for a, b in [*((a, b) for a in EDGES for b in EDGES), (0x80000000, 2)]:
-        product = mul_block(Block.from_int(a), Block.from_int(b))
+        product = mul_block(a, b)
         assert type(product) is tuple and len(product) == 2
-        assert all(type(w) is Block for w in product)
-        assert product[0].value << 32 | product[1].value == a * b
+        assert all(type(w) is int for w in product)
+        assert product[0] << 32 | product[1] == a * b
 
 
 # Evaluations of each circuit on a fixed gate workload from a cleared
-# prelude: an adder or multiplier added or dropped moves them, and so does
-# a product's operands swapped (one bank of full adders per set bit of y).
-GATE_CALLS = {"adder": 950, "multiplier": 255, "full_adder": 3518}
+# prelude: an adder or multiplier added or dropped moves them.
+GATE_CALLS = {"adder": 950, "multiplier": 255}
 
 
 def test_gate_construction_is_pinned(monkeypatch):
@@ -178,21 +169,19 @@ def test_gate_construction_is_pinned(monkeypatch):
     assert maacore.mac_message(key, bytes(range(150)) * 2).hex() == "32611667"
     for a in EDGES:
         for b in EDGES:
-            mul_block(Block.from_int(a), Block.from_int(b))
+            mul_block(a, b)
     maacore.prelude.cache_clear()
     assert counts == GATE_CALLS
 
 
 def test_two_part_results_are_plain_tuples():
-    top = Block.from_int(0xFFFFFFFF)
-    two = Block.from_int(2)
+    top = 0xFFFFFFFF
+    two = 2
     results = [
         (adder(200, 100, 1, 8), (1, 45)),
-        (full_adder(0b0110, 0b0101, 0b0011), (0b0111, 0b0000)),
         (adder(0xFFFFFFFF, 2, 0, 32), (1, 1)),
-        (addc(top, two), (Block.from_int(1), Block.from_int(1))),
-        (mul_block(top, top),
-         (Block.from_int(0xFFFFFFFE), Block.from_int(0x00000001))),
+        (addc(top, two), (1, 1)),
+        (mul_block(top, top), (0xFFFFFFFE, 0x00000001)),
     ]
     for got, want in results:
         assert type(got) is tuple and got == want
