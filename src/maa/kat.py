@@ -7,12 +7,13 @@ single published table row may unfold into several checks here.  The
 runner executes a record on the gate-level core, the native-word core,
 or both, and compares every requested output.
 
-One runner serves every core through nativecore's int signatures: the
-native adapter is the nativecore module itself, and the gate adapter
-passes the gate core's own ints through, converting only a whole
-message to Blocks.  A new core is its name in maa.CORES
-(`maa selftest --core` lists them) plus an adapter in _CORES.  A new op is
-one entry in _OPS: its input names, output names and run on an adapter.
+One runner serves every core through one int interface, nativecore's
+signatures: each core is a module that defines them, maacore for the
+gate core (its int entry for a whole message is mac_values) and
+nativecore for the native one, imported by core_module on first use.
+A new core is its name in maa.CORES (`maa selftest --core` lists them)
+plus its module's name in _CORES.  A new op is one entry in _OPS: its
+input names, output names and run on a core module.
 
 Suites:
 
@@ -26,9 +27,9 @@ Suites:
 
 import re
 from collections import namedtuple
-from importlib import resources
+from importlib import import_module, resources
 
-from . import CORES, MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS, SUITES, nativecore
+from . import CORES, SEGMENT_BLOCKS, SUITES
 
 # Row counts of the published tables.  Where the corpus splits a row
 # into one check per value the totals drift apart; run_suite notes the
@@ -87,10 +88,6 @@ class SuiteReport(namedtuple("SuiteReport", "suite core checks notes")):
     @property
     def failed(self):
         return sum(1 for c in self.checks if not c.ok)
-
-    @property
-    def ok(self):
-        return bool(self.checks) and self.failed == 0
 
     def failures(self):
         return [c for c in self.checks if not c.ok]
@@ -206,31 +203,13 @@ def _progression(i):
     return gen_message(i["init"], i["incr"], i["count"])
 
 
-class _GateCore:
-    """The gate-level core behind nativecore's int signatures.
-
-    Below its public API the gate core takes and returns ints too, so
-    every op but mac_values is the function of that name on maaops, else
-    on maacore, looked up at each call: what is bound there at call time
-    runs, and maacore.prelude keeps its last key.  mac_values converts to
-    the Key and Blocks of maacore.mac_blocks.  The gate modules load when
-    the first op is looked up, not with kat.
-    """
-
-    def __getattr__(self, name):
-        from . import maacore, maaops
-        return getattr(maaops if hasattr(maaops, name) else maacore, name)
-
-    def mac_values(self, j, k, values, limit=MESSAGE_BLOCK_LIMIT):
-        from . import maacore
-        from .wordcore import Block
-        key = maacore.Key(Block.from_int(j), Block.from_int(k))
-        blocks = map(Block.from_int, values)
-        return maacore.mac_blocks(key, blocks, limit).value
+# each core's module, in the order of CORES, whose last name, "both", has none
+_CORES = dict(zip(CORES, ("maacore", "nativecore")))
 
 
-# each core's adapter, in the order of CORES, whose last name, "both", has none
-_CORES = dict(zip(CORES, (_GateCore(), nativecore)))
+def core_module(name):
+    """The module of core `name`, imported on first use."""
+    return import_module(f"{__package__}.{_CORES[name]}")
 
 
 def _chain(core, j, k, blocks):
@@ -274,7 +253,7 @@ def _full_2block(core, i):
 
 # Each op once: its input names, its output names (None where they depend
 # on the record's count; _validate_outputs checks those) and its run on a
-# core adapter, from the record's inputs as ints.
+# core module, from the record's inputs as ints.
 _Op = namedtuple("_Op", "ins outs run")
 _OPS = {
     "MUL1": _Op({"a", "b"}, {"w"}, lambda c, i: {"w": c.mul1(i["a"], i["b"])}),
@@ -302,7 +281,7 @@ _OPS = {
 
 
 def _outs(rec, core):
-    """Every output the record's op yields on one core adapter, as ints."""
+    """Every output the record's op yields on one core module, as ints."""
     ins = {k: int(v, 10 if k == "count" else 16)
            for k, v in rec.inputs.items()}
     return _OPS[rec.op].run(core, ins)
@@ -310,7 +289,7 @@ def _outs(rec, core):
 
 def run_record(record, core):
     """One record on one core; a CheckResult per expected output."""
-    outs = _outs(record, _CORES[core])
+    outs = _outs(record, core_module(core))
     return [CheckResult(record.suite, record.name, key, core, want,
                         f"{outs[key]:0{len(want)}X}")
             for key, want in record.outputs.items()]

@@ -9,7 +9,9 @@ The coda runs the main loop twice more, on S then T; the MAC is XOR(X, Y).
 
 The phases take and return words as wordcore's host ints.  Block is the
 type of the public names only: Key, message_blocks, MacStream (its
-prelude, push() and mac()), mac_blocks and mac_message.
+prelude, push() and mac()), mac_blocks and mac_message.  mac_values is
+the gate core's int entry, with nativecore.mac_values's signature and
+refusals, so the corpus runner runs this module as it runs nativecore.
 
 Messages longer than 256 blocks are processed in segments: the MAC of
 each segment is fed as the leading block of the next one, restarting the
@@ -112,7 +114,7 @@ def prelude(j, k):
 
 def main_loop(x, y, v, w, block):
     """One iteration: the new registers (Xp, Yp, Vp) of loop_trace."""
-    tr = _loop(x, y, v, w, block, TRUE_MASKS)
+    tr = loop_trace(x, y, v, w, block)
     return tr["Xp"], tr["Yp"], tr["Vp"]
 
 
@@ -124,13 +126,6 @@ def loop_trace(x, y, v, w, block, masks=TRUE_MASKS):
     substitutable.  The trailing Z is simply XOR(Xp, Yp).  Keyed as
     nativecore.loop_trace keys its result.
     """
-    tr = _loop(x, y, v, w, block, masks)
-    return {**tr, "Z": tr["Xp"] ^ tr["Yp"]}
-
-
-def _loop(x, y, v, w, block, masks):
-    # the body of both; Z is left to loop_trace, since main_loop's
-    # callers never read it
     or1, and1, or2, and2 = masks
     vp = cyc(v)
     e = vp ^ w
@@ -145,7 +140,7 @@ def _loop(x, y, v, w, block, masks):
     xp = mul1(xm, fpp)
     yp = mul2a(ym, gpp)
     return dict(Vp=vp, E=e, X=xm, Y=ym, F=f, G=g, Fp=fp, Gp=gp,
-                Fpp=fpp, Gpp=gpp, Xp=xp, Yp=yp)
+                Fpp=fpp, Gpp=gpp, Xp=xp, Yp=yp, Z=xp ^ yp)
 
 
 def coda(x, y, v, w, s, t):
@@ -205,6 +200,13 @@ def mac_blocks(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
     for b in blocks:
         stream.push(b)
     return stream.mac()
+
+
+def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
+    """The gate core's int entry: MAC of an iterable of block values, as
+    nativecore.mac_values takes and refuses them."""
+    key = Key(Block.from_int(j), Block.from_int(k))
+    return mac_blocks(key, map(Block.from_int, values), limit).value
 
 
 def message_blocks(payload):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from maa import cli, kat, maacore, nativecore, wordcore
+from maa import cli, maacore, nativecore, wordcore
 from maa.maacore import (
     EmptyMessageError, MESSAGE_BLOCK_LIMIT, MessageLimitError, SEGMENT_BLOCKS,
 )
@@ -389,11 +389,9 @@ def test_bench(capsys):
 
 
 def test_bench_exits_1_when_the_cores_disagree(capsys, monkeypatch):
-    class Off:
-        def mac_values(self, *args, **kwargs):
-            return nativecore.mac_values(*args, **kwargs) ^ 1
-
-    monkeypatch.setitem(kat._CORES, "native", Off())
+    real = nativecore.mac_values
+    monkeypatch.setattr(nativecore, "mac_values",
+                        lambda *args, **kwargs: real(*args, **kwargs) ^ 1)
     code, _, err = run(capsys, "bench", "--blocks", "3")
     assert code == 1 and err == "cores disagree\n"
 

@@ -1,6 +1,7 @@
 """The integer core against the published vectors and the gate core."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from maa.maacore import (
 from maa.wordcore import Block
 
 words = st.integers(0, 0xFFFFFFFF)
+
+CORE_MODULES = [kat.core_module(name) for name in kat._CORES]
 
 
 def test_multiplication_vectors():
@@ -158,8 +161,8 @@ def test_both_cores_refuse_a_limit_below_one_alike(limit):
 
     key = Key.from_hex("00000001", "00000002")
     refusals = [
-        lambda: nativecore.mac_values(1, 2, unread(), limit=limit),
-        lambda: kat._CORES["gate"].mac_values(1, 2, unread(), limit=limit),
+        *(partial(core.mac_values, 1, 2, unread(), limit=limit)
+          for core in CORE_MODULES),
         lambda: maacore.MacStream(key, limit),
         lambda: maacore.mac_blocks(key, unread(), limit),
         lambda: maacore.mac_message(key, b"\1", limit),
@@ -169,6 +172,24 @@ def test_both_cores_refuse_a_limit_below_one_alike(limit):
             refuse()
         assert info.type is ValueError
         assert str(info.value) == "block limit must be at least 1"
+
+
+@pytest.mark.parametrize("core", CORE_MODULES, ids=list(kat._CORES))
+def test_both_cores_refuse_bad_input_alike(core):
+    # the gate core's int entry refuses what the native one refuses, with
+    # the same error types
+    bad = [((j, k, [1]), ValueError)
+           for j, k in ((2**40, 2), (2**32, 0), (0, -1), (-1, 2))]
+    bad += [((1, 2, values), ValueError)
+            for values in ([2**40, -5], [-1], [2**32], [0] * 300 + [2**32])]
+    bad += [((1, 2, []), EmptyMessageError),
+            ((1, 2, [0] * 4, 3), MessageLimitError),
+            ((1, 2, [0] * (SEGMENT_BLOCKS + 2), SEGMENT_BLOCKS + 1),
+             MessageLimitError)]
+    for args, error in bad:
+        with pytest.raises(ValueError) as info:
+            core.mac_values(*args)
+        assert info.type is error, args[:2]
 
 
 @given(st.binary(min_size=1, max_size=64), st.lists(st.integers(0, 64)))

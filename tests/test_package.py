@@ -22,7 +22,7 @@ LOADS = {
     "maa.maaops": {"maa", "maa.wordcore", "maa.maaops"},
     "maa.maacore": {"maa", "maa.wordcore", "maa.maaops", "maa.maacore"},
     "maa.nativecore": {"maa", "maa.nativecore"},
-    "maa.kat": {"maa", "maa.nativecore", "maa.kat"},
+    "maa.kat": {"maa", "maa.kat"},
     "maa.cli": {"maa", "maa.nativecore", "maa.cli"},
 }
 
