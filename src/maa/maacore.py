@@ -25,6 +25,7 @@ shared with nativecore; this core imports nothing of the other.
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from . import EmptyMessageError, MessageLimitError, LIMIT_BELOW_ONE
 from . import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS
@@ -139,8 +140,9 @@ def loop_trace(x, y, v, w, block, masks=TRUE_MASKS):
     gpp = gp & and2
     xp = mul1(xm, fpp)
     yp = mul2a(ym, gpp)
-    return dict(Vp=vp, E=e, X=xm, Y=ym, F=f, G=g, Fp=fp, Gp=gp,
-                Fpp=fpp, Gpp=gpp, Xp=xp, Yp=yp, Z=xp ^ yp)
+    return {"Vp": vp, "E": e, "X": xm, "Y": ym, "F": f, "G": g,
+            "Fp": fp, "Gp": gp, "Fpp": fpp, "Gpp": gpp,
+            "Xp": xp, "Yp": yp, "Z": xp ^ yp}
 
 
 def coda(x, y, v, w, s, t):
@@ -204,9 +206,16 @@ def mac_blocks(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
 
 def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
     """The gate core's int entry: MAC of an iterable of block values, as
-    nativecore.mac_values takes and refuses them."""
-    key = Key(Block.from_int(j), Block.from_int(k))
-    return mac_blocks(key, map(Block.from_int, values), limit).value
+    nativecore.mac_values takes and refuses them.  Each segment is read
+    and checked as a whole, the limit first, before any of it runs."""
+    stream = MacStream(Key(Block.from_int(j), Block.from_int(k)), limit)
+    it = iter(values)
+    while seg := list(islice(it, SEGMENT_BLOCKS)):
+        if stream.total_blocks + len(seg) > limit:
+            raise MessageLimitError(limit)
+        for b in list(map(Block.from_int, seg)):
+            stream.push(b)
+    return stream.mac().value
 
 
 def message_blocks(payload):

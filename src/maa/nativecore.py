@@ -6,11 +6,13 @@ real use, and a differential oracle for the gate-level construction
 (and vice versa).  Neither core imports the other: the limits and the
 errors of a refused message are the package root's, which both import.
 
-The carry folds are written out literally, step for step, rather than as
-% reductions: a remainder would agree with the fold almost everywhere
-but may pick the other representative of a degenerate residue.  The
-published vectors pin MUL2's pick but not MUL1's; the tests pin both
-against closed forms (a remainder MUL1 passes the whole corpus).
+Each end-around carry is one compare-and-subtract, not a % reduction:
+a remainder would agree almost everywhere but may pick the other
+representative of a degenerate residue.  A product's upper half is at
+most 2**32 - 2, so a folded sum holds one carry at most, and the doubled
+terms are even, so no result needs a final mask.  The published vectors
+pin MUL2's pick but not MUL1's; the tests pin both against closed forms
+(a remainder MUL1 passes the whole corpus).
 
 main_loop, coda and mac_values share one inlined main-loop body, _fold;
 loop_trace is a separate, instrumented copy.  BYT and PAT are table
@@ -52,30 +54,23 @@ def byt(w1, w2):
 
 def mul1(a, b):
     p = a * b
-    u, l = p >> 32, p & MASK32
-    s = u + l
-    c, s = s >> 32, s & MASK32
-    return (s + c) & MASK32
+    s = (p >> 32) + (p & 0xFFFFFFFF)
+    return s - 0xFFFFFFFF if s > 0xFFFFFFFF else s
 
 
 def mul2(a, b):
     p = a * b
-    u, l = p >> 32, p & MASK32
-    d = u + u
-    c1, s1 = d >> 32, d & MASK32
-    w3 = (s1 + 2 * c1) & MASK32
-    f = w3 + l
-    c2, s2 = f >> 32, f & MASK32
-    return (s2 + 2 * c2) & MASK32
+    d = p >> 32 << 1
+    if d > 0xFFFFFFFF:
+        d -= 0xFFFFFFFE
+    f = d + (p & 0xFFFFFFFF)
+    return f - 0xFFFFFFFE if f > 0xFFFFFFFF else f
 
 
 def mul2a(a, b):
     p = a * b
-    u, l = p >> 32, p & MASK32
-    w3 = (u + u) & MASK32
-    f = w3 + l
-    c, s = f >> 32, f & MASK32
-    return (s + 2 * c) & MASK32
+    f = (p >> 32 << 1 & 0xFFFFFFFF) + (p & 0xFFFFFFFF)
+    return f - 0xFFFFFFFE if f > 0xFFFFFFFF else f
 
 
 def q(o):
@@ -134,14 +129,15 @@ def _fold(x, y, v, w, blocks):
         e = v ^ w
         xm = x ^ m
         ym = y ^ m
-        # MUL1(xm, FIX1(ym + e)); and1 < 2**32 also masks the sum
+        # MUL1(xm, FIX1(ym + e)); and1 < 2**32 also masks the sum, and one
+        # compare-and-subtract of 2**32 - 1 takes the end-around carry
         p = xm * ((ym + e | or1) & and1)
-        s = (p >> 32) + (p & MASK32)
-        x = ((s & MASK32) + (s >> 32)) & MASK32
-        # MUL2A(ym, FIX2(xm + e))
+        s = (p >> 32) + (p & 0xFFFFFFFF)
+        x = s - 0xFFFFFFFF if s > 0xFFFFFFFF else s
+        # MUL2A(ym, FIX2(xm + e)); the doubled carry, by 2**32 - 2
         p = ym * ((xm + e | or2) & and2)
-        f = ((p >> 32 << 1) & MASK32) + (p & MASK32)
-        y = ((f & MASK32) + 2 * (f >> 32)) & MASK32
+        f = (p >> 32 << 1 & 0xFFFFFFFF) + (p & 0xFFFFFFFF)
+        y = f - 0xFFFFFFFE if f > 0xFFFFFFFF else f
     return x, y, v
 
 

@@ -39,15 +39,21 @@ def adder(a, b, cin, width):
     return carry, s ^ carry << width
 
 
+# _ROWS[b]: the set bit positions of octet b, the rows that octet selects
+_ROWS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
 def multiplier(x, y, width):
-    """Product of two width-bit words, as one word of twice that width:
-    row x << i for each set bit i of y enters a bank of full adders that
-    keeps the running sum as the two words (sum, carry), and the adder
-    resolves them once, at the end."""
+    """Product of two width-bit words, as one word of twice that width.
+
+    y is read an octet at a time through the wiring table _ROWS: row
+    x << (i | k) for each set bit i of the octet at base k enters a bank
+    of full adders that keeps the running sum as the two words (sum,
+    carry), and the adder resolves them once, at the end."""
     s = c = 0
-    for i in range(width):
-        if y >> i & 1:
-            r = x << i
+    for k in range(0, width, 8):
+        for i in _ROWS[y >> k & 0xFF]:
+            r = x << (i | k)
             p = s ^ c
             s, c = p ^ r, (s & c | r & p) << 1
     return adder(s, c, 0, width << 1)[1]

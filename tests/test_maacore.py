@@ -250,6 +250,27 @@ def test_mac_message_refuses_an_over_limit_payload_before_any_work(
         mac_message(key, b"", limit=0)
 
 
+@pytest.mark.parametrize("values, runs", [
+    ([0] * 10 + [2**32], 0),
+    ([0] * 300 + [2**32], SEGMENT_BLOCKS),
+], ids=["first-segment", "second-segment"])
+def test_mac_values_checks_a_segment_before_it_runs(monkeypatch, values,
+                                                    runs):
+    # as nativecore.mac_values does: an out-of-range value stops its
+    # segment before any block of it reaches the main loop
+    calls = []
+    real = maacore.main_loop
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(maacore, "main_loop", counting)
+    with pytest.raises(ValueError):
+        maacore.mac_values(1, 2, values)
+    assert len(calls) == runs
+
+
 def test_push_rejects_blocks_that_are_not_blocks():
     # caught at the boundary, not as an AttributeError deep in the core
     key = Key.from_hex("80018001", "80018000")

@@ -246,3 +246,20 @@ def test_degenerate_block_end_to_end():
         assert tr["Xp"] == closed_mul1(tr["X"], tr["Fpp"]) == M1
         macs.add(ops.mac_values(j, k, [block]))
     assert len(macs) == 1
+
+
+def test_mul2a_fold_edge_in_the_main_loop():
+    # G'' = g, a FIX2-fixed odd word, meets Y = g^-1 mod M2 with E = 0
+    # (M = 0, W = CYC(V)): the fold sum 2u + l is then exactly M1, the
+    # last value that MUL2A keeps without subtracting M2
+    rng = random.Random(0x2A)
+    for _ in range(20):
+        g = (rng.getrandbits(32) | FIX2_OR_MASK) & FIX2_AND_MASK
+        y = pow(g, -1, M2)
+        upper, lower = divmod(g * y, 2**32)
+        assert 2 * upper + lower == M1 and upper < 2**31
+        v = rng.getrandbits(32)
+        w = (v << 1 | v >> 31) & M1
+        for ops in map(kat.core_module, kat._CORES):
+            assert ops.loop_trace(g, y, v, w, 0)["Gpp"] == g
+            assert ops.main_loop(g, y, v, w, 0)[1] == closed_mul2(y, g) == M1

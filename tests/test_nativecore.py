@@ -184,6 +184,7 @@ def test_both_cores_refuse_bad_input_alike(core):
             for values in ([2**40, -5], [-1], [2**32], [0] * 300 + [2**32])]
     bad += [((1, 2, []), EmptyMessageError),
             ((1, 2, [0] * 4, 3), MessageLimitError),
+            ((1, 2, [0, 0, 2**32], 2), MessageLimitError),
             ((1, 2, [0] * (SEGMENT_BLOCKS + 2), SEGMENT_BLOCKS + 1),
              MessageLimitError)]
     for args, error in bad:
