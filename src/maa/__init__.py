@@ -7,9 +7,14 @@ validated against the published test vectors via the kat module, and
 against each other.
 
 This module holds what the two cores share: the message limits, the
-errors of a refused message, and the suite and core names.  Every other
-public name is imported from its module on first use (PEP 562).
+errors of a refused message, the suite and core names, and the input
+boundary (words, segments and check_key), through which both cores read
+and refuse a message alike.  Every other public name is imported from
+its module on first use (PEP 562).
 """
+
+import struct
+from itertools import islice
 
 __version__ = "0.1.0"
 
@@ -21,7 +26,7 @@ LIMIT_BELOW_ONE = "block limit must be at least 1"
 SEGMENT_BLOCKS = 256
 
 SUITES = ("T1", "T2", "T3", "T4", "ANNEX_E", "LONG")
-CORES = ("gate", "native", "both")
+CORES = {"gate": "maacore", "native": "nativecore"}  # name: its module
 
 
 class EmptyMessageError(ValueError):
@@ -39,13 +44,52 @@ class MessageLimitError(ValueError):
                 f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
 
 
+def check_key(j, k):
+    if not (0 <= j <= 0xFFFFFFFF and 0 <= k <= 0xFFFFFFFF):
+        raise ValueError(f"key halves must be 32-bit words, got "
+                         f"{j:#x} and {k:#x}")
+
+
+def words(chunks):
+    """Big-endian 32-bit words of a byte stream given as chunks of any
+    size.  Up to three bytes carry over into the next chunk, and a short
+    tail is zero-padded on the right, as message_blocks pads."""
+    carry = b""
+    for chunk in chunks:
+        view = memoryview(carry + chunk if carry else chunk)
+        cut = len(view) - len(view) % 4
+        yield from (w for (w,) in struct.iter_unpack(">I", view[:cut]))
+        carry = bytes(view[cut:])
+    if carry:
+        yield int.from_bytes(carry.ljust(4, b"\0"), "big")
+
+
+def segments(values, limit):
+    """Block values as lists of up to SEGMENT_BLOCKS, each checked as a
+    whole before it is yielded, the limit first, then the range; so an
+    over-limit stream is read one segment past the limit at most.  No
+    values at all raise EmptyMessageError."""
+    it = iter(values)
+    count = 0
+    while seg := list(islice(it, SEGMENT_BLOCKS)):
+        count += len(seg)
+        if count > limit:
+            raise MessageLimitError(limit)
+        if min(seg) < 0 or max(seg) > 0xFFFFFFFF:
+            raise ValueError(f"block values must be 32-bit words, got "
+                             f"{min(seg):#x} to {max(seg):#x}")
+        yield seg
+    if not count:
+        raise EmptyMessageError()
+
+
 # Each public name defined elsewhere, by the module that defines it
 _LAZY = {"Block": "wordcore", "Key": "maacore", "MacStream": "maacore",
          "mac_blocks": "maacore", "mac_message": "maacore",
          "message_blocks": "maacore", "run_suite": "kat"}
 
 __all__ = sorted([*_LAZY, "EmptyMessageError", "MESSAGE_BLOCK_LIMIT",
-                  "MessageLimitError", "SEGMENT_BLOCKS"])
+                  "MessageLimitError", "SEGMENT_BLOCKS", "words"])
 
 
 def __getattr__(name):

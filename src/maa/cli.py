@@ -16,7 +16,7 @@ import time
 from itertools import chain
 
 from . import CORES, EmptyMessageError, MessageLimitError, SUITES
-from . import MESSAGE_BLOCK_LIMIT, nativecore
+from . import MESSAGE_BLOCK_LIMIT, nativecore, words
 
 _SUITE_FLAGS = {s.lower().replace("_", ""): s for s in (*SUITES, "ALL")}
 
@@ -68,8 +68,7 @@ def _chunks(args):
 
 
 def cmd_mac(args):
-    z = nativecore.mac_values(*_parse_key(args.key),
-                              nativecore.words(_chunks(args)))
+    z = nativecore.mac_values(*_parse_key(args.key), words(_chunks(args)))
     print(f"{z:08X}")
     return 0
 
@@ -78,7 +77,7 @@ def cmd_trace(args):
     from .maacore import Key, MacStream
     from .wordcore import Block
     key = Key(*map(Block.from_int, _parse_key(args.key)))
-    values = nativecore.words(_chunks(args))
+    values = words(_chunks(args))
     first = next(values, None)
     if first is None:
         raise EmptyMessageError()
@@ -100,7 +99,7 @@ def cmd_selftest(args):
     from . import kat
     suite = _SUITE_FLAGS[args.suite]
     suites = SUITES if suite == "ALL" else (suite,)
-    cores = kat._CORES if args.core == "both" else (args.core,)
+    cores = (args.core,) if args.core in CORES else CORES
     failures = []
     total = 0
     for s in suites:
@@ -245,7 +244,7 @@ def cmd_bench(args):
     rng = random.Random(0x1D1A)
     values = [rng.getrandbits(32) for _ in range(args.blocks)]
     macs = set()
-    for name in kat._CORES:
+    for name in CORES:
         core = kat.core_module(name)
         rates = []
         for _ in range(_BENCH_PASSES):
@@ -293,7 +292,7 @@ def _build_parser():
 
     p = sub.add_parser("selftest", help="run the known-answer corpus")
     p.add_argument("--suite", choices=sorted(_SUITE_FLAGS), default="all")
-    p.add_argument("--core", choices=CORES, default="both")
+    p.add_argument("--core", choices=[*CORES, "both"], default="both")
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("scenario", help="run a register-check script")

@@ -11,8 +11,8 @@ One runner serves every core through one int interface, nativecore's
 signatures: each core is a module that defines them, maacore for the
 gate core (its int entry for a whole message is mac_values) and
 nativecore for the native one, imported by core_module on first use.
-A new core is its name in maa.CORES (`maa selftest --core` lists them)
-plus its module's name in _CORES.  A new op is one entry in _OPS: its
+A new core is one entry in maa.CORES, its name and its module's name
+(`maa selftest --core` lists them).  A new op is one entry in _OPS: its
 input names, output names and run on a core module.
 
 Suites:
@@ -203,13 +203,9 @@ def _progression(i):
     return gen_message(i["init"], i["incr"], i["count"])
 
 
-# each core's module, in the order of CORES, whose last name, "both", has none
-_CORES = dict(zip(CORES, ("maacore", "nativecore")))
-
-
 def core_module(name):
     """The module of core `name`, imported on first use."""
-    return import_module(f"{__package__}.{_CORES[name]}")
+    return import_module(f"{__package__}.{CORES[name]}")
 
 
 def _chain(core, j, k, blocks):
@@ -302,13 +298,14 @@ def run_suite(suite="ALL", core="gate"):
     if suite != "ALL" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of "
                          f"{', '.join(SUITES)} or ALL")
-    if core not in CORES:
+    choices = [*CORES, "both"]
+    if core not in choices:
         raise ValueError(f"unknown core {core!r}; pick one of "
-                         f"{', '.join(CORES)}")
+                         f"{', '.join(choices)}")
     records = [r for r in load_vectors()
                if suite == "ALL" or r.suite == suite]
     checks = []
-    for c in _CORES if core == "both" else (core,):
+    for c in (core,) if core in CORES else CORES:
         for record in records:
             checks.extend(run_record(record, c))
     notes = []

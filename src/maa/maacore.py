@@ -18,17 +18,17 @@ each segment is fed as the leading block of the next one, restarting the
 registers from their prelude values, and the last segment's result is
 the overall MAC.  MacStream reproduces this cycle by cycle.
 
-The limits and the errors of a refused message are the package root's,
-shared with nativecore; this core imports nothing of the other.
+The input boundary and the errors of a refused message are the package
+root's, shared with nativecore; this core imports nothing of the other.
 """
 
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain
 
 from . import EmptyMessageError, MessageLimitError, LIMIT_BELOW_ONE
-from . import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS
+from . import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS, check_key, segments
 from .wordcore import Block, add_block
 from .maaops import (
     FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
@@ -105,6 +105,7 @@ def prelude(j, k):
     The pattern octet P comes from the raw key halves; the power ladders
     run on the byte-adjusted ones.
     """
+    check_key(j, k)
     j1, k1 = byt(j, k)
     im = power_chain(j1, k1, pat(j, k))
     x0, y0 = byt(im["H4"], im["H5"])
@@ -205,17 +206,10 @@ def mac_blocks(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
 
 
 def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
-    """The gate core's int entry: MAC of an iterable of block values, as
-    nativecore.mac_values takes and refuses them.  Each segment is read
-    and checked as a whole, the limit first, before any of it runs."""
-    stream = MacStream(Key(Block.from_int(j), Block.from_int(k)), limit)
-    it = iter(values)
-    while seg := list(islice(it, SEGMENT_BLOCKS)):
-        if stream.total_blocks + len(seg) > limit:
-            raise MessageLimitError(limit)
-        for b in list(map(Block.from_int, seg)):
-            stream.push(b)
-    return stream.mac().value
+    """The gate core's int entry, refusing as nativecore.mac_values does."""
+    values = chain.from_iterable(segments(values, limit))
+    return mac_blocks(Key(Block(j), Block(k)), map(Block, values),
+                      limit).value
 
 
 def message_blocks(payload):

@@ -3,8 +3,8 @@
 Same algorithm as maaops/maacore, re-expressed over plain ints with
 64-bit intermediate products.  It serves two purposes: a fast core for
 real use, and a differential oracle for the gate-level construction
-(and vice versa).  Neither core imports the other: the limits and the
-errors of a refused message are the package root's, which both import.
+(and vice versa), on ints only.  Neither core imports the other: the
+input boundary is the package root's, which both import.
 
 Each end-around carry is one compare-and-subtract, not a % reduction:
 a remainder would agree almost everywhere but may pick the other
@@ -19,12 +19,9 @@ loop_trace is a separate, instrumented copy.  BYT and PAT are table
 lookups on the eight key bytes.
 """
 
-import struct
-from itertools import islice
 from operator import attrgetter
 
-from . import EmptyMessageError, MessageLimitError, LIMIT_BELOW_ONE
-from . import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS
+from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, check_key, segments
 
 MASK32 = 0xFFFFFFFF
 
@@ -110,9 +107,7 @@ def power_chain(j1, k1, p):
 
 
 def prelude(j, k):
-    if not (0 <= j <= MASK32 and 0 <= k <= MASK32):
-        raise ValueError(f"key halves must be 32-bit words, got "
-                         f"{j:#x} and {k:#x}")
+    check_key(j, k)
     j1, k1 = byt(j, k)
     im = power_chain(j1, k1, pat(j, k))
     x0, y0 = byt(im["H4"], im["H5"])
@@ -169,46 +164,17 @@ def coda(x, y, v, w, s, t):
 
 
 def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
-    """MAC over an iterable of 32-bit block values, segmented mode.
-
-    values is read one segment at a time, so an over-limit stream fails
-    after at most one segment past the limit has been read.  Each segment
-    is range-checked as a whole before it runs.
-    """
+    """MAC over an iterable of 32-bit block values, segmented mode."""
     if limit < 1:
         raise ValueError(LIMIT_BELOW_ONE)
     x0, y0, v0, w, s, t = prelude(j, k)
-    it = iter(values)
-    count = 0
     z = None
-    while seg := list(islice(it, SEGMENT_BLOCKS)):
-        count += len(seg)
-        if count > limit:
-            raise MessageLimitError(limit)
-        if min(seg) < 0 or max(seg) > MASK32:
-            raise ValueError(f"block values must be 32-bit words, got "
-                             f"{min(seg):#x} to {max(seg):#x}")
+    for seg in segments(values, limit):
         if z is not None:
             seg.insert(0, z)
         x, y, v = _fold(x0, y0, v0, w, seg)
         z = coda(x, y, v, w, s, t)
-    if z is None:
-        raise EmptyMessageError()
     return z
-
-
-def words(chunks):
-    """Big-endian 32-bit words of a byte stream given as chunks of any
-    size.  Up to three bytes carry over into the next chunk, and a short
-    tail is zero-padded on the right, as message_blocks pads."""
-    carry = b""
-    for chunk in chunks:
-        view = memoryview(carry + chunk if carry else chunk)
-        cut = len(view) - len(view) % 4
-        yield from (w for (w,) in struct.iter_unpack(">I", view[:cut]))
-        carry = bytes(view[cut:])
-    if carry:
-        yield int.from_bytes(carry.ljust(4, b"\0"), "big")
 
 
 # kept only because perfbench/run.py times it (ROADMAP.md, item 2)

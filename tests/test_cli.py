@@ -139,7 +139,7 @@ def test_mac_file_matches_gate_core_and_trace(tmp_path, capsys, nbytes):
 
 def test_differential_catches_a_left_padding_mutant(tmp_path, capsys,
                                                     monkeypatch):
-    words = nativecore.words
+    words = cli.words
 
     def left_padded(chunks):
         data = b"".join(chunks)
@@ -148,7 +148,7 @@ def test_differential_catches_a_left_padding_mutant(tmp_path, capsys,
         if cut < len(data):
             yield int.from_bytes(data[cut:], "big")
 
-    monkeypatch.setattr(nativecore, "words", left_padded)
+    monkeypatch.setattr(cli, "words", left_padded)
     for nbytes in (1, 4 * 256 + 3):
         with pytest.raises(AssertionError):
             test_mac_file_matches_gate_core_and_trace(tmp_path, capsys, nbytes)

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from maa import kat, maacore, nativecore
+from maa import CORES, kat, maacore, nativecore
 
 
 def test_corpus_shape():
@@ -55,7 +55,7 @@ def test_every_op_has_a_record_and_yields_its_outputs():
     assert sorted(first) == sorted(kat._OPS)
     for op, record in first.items():
         declared = kat._OPS[op].outs or set(record.outputs)
-        for core in kat._CORES:
+        for core in CORES:
             outs = kat._outs(record, kat.core_module(core))
             assert declared <= set(outs), (op, core)
 

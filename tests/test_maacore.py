@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maa
 from maa import maacore, nativecore
 from maa.maacore import (
     EmptyMessageError, Key, MacStream, MessageLimitError,
@@ -69,7 +70,7 @@ def test_prelude_keeps_one_key_and_survives_alternating_keys():
     for key in (a, b, a, b):
         for payload in payloads:
             assert mac_message(key, payload).value == nativecore.mac_values(
-                key.J.value, key.K.value, nativecore.words([payload]))
+                key.J.value, key.K.value, maa.words([payload]))
     info = prelude.cache_info()
     assert info.maxsize == 1 and info.currsize == 1
     prelude.cache_clear()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maa import kat, nativecore
+from maa import CORES, kat, nativecore
 from maa.maacore import loop_trace
 from maa.maaops import (
     FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
@@ -238,7 +238,7 @@ def test_degenerate_block_end_to_end():
     masks = (nativecore.FIX1_OR, nativecore.FIX1_AND,
              nativecore.FIX2_OR, nativecore.FIX2_AND)
     macs = set()
-    for ops in map(kat.core_module, kat._CORES):
+    for ops in map(kat.core_module, CORES):
         x0, y0, v0, w, _, _ = ops.prelude(j, k)
         block = x0 ^ M1
         tr = ops.loop_trace(x0, y0, v0, w, block, masks)
@@ -260,6 +260,6 @@ def test_mul2a_fold_edge_in_the_main_loop():
         assert 2 * upper + lower == M1 and upper < 2**31
         v = rng.getrandbits(32)
         w = (v << 1 | v >> 31) & M1
-        for ops in map(kat.core_module, kat._CORES):
+        for ops in map(kat.core_module, CORES):
             assert ops.loop_trace(g, y, v, w, 0)["Gpp"] == g
             assert ops.main_loop(g, y, v, w, 0)[1] == closed_mul2(y, g) == M1

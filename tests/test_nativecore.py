@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maa import kat, maacore, maaops, nativecore
+import maa
+from maa import CORES, kat, maacore, maaops, nativecore
 from maa.maacore import (
     EmptyMessageError, Key, MessageLimitError, SEGMENT_BLOCKS, message_blocks,
 )
@@ -15,7 +16,7 @@ from maa.wordcore import Block
 
 words = st.integers(0, 0xFFFFFFFF)
 
-CORE_MODULES = [kat.core_module(name) for name in kat._CORES]
+CORE_MODULES = [kat.core_module(name) for name in CORES]
 
 
 def test_multiplication_vectors():
@@ -174,23 +175,47 @@ def test_both_cores_refuse_a_limit_below_one_alike(limit):
         assert str(info.value) == "block limit must be at least 1"
 
 
-@pytest.mark.parametrize("core", CORE_MODULES, ids=list(kat._CORES))
+def _refusal(call, *args, **kwargs):
+    with pytest.raises(ValueError) as info:
+        call(*args, **kwargs)
+    return info.type, str(info.value)
+
+
+_LIMIT = (ValueError, "block limit must be at least 1")
+_KEY = (ValueError, "key halves must be 32-bit words")
+_OVER = (MessageLimitError, "message exceeds the")
+_RANGE = (ValueError, "block values must be 32-bit words")
+_EMPTY = (EmptyMessageError, "the MAC of an empty message")
+
+
+@pytest.mark.parametrize("core", CORE_MODULES, ids=list(CORES))
 def test_both_cores_refuse_bad_input_alike(core):
     # the gate core's int entry refuses what the native one refuses, with
-    # the same error types
-    bad = [((j, k, [1]), ValueError)
+    # the same error and the same text, and judges a limit below 1, the
+    # key halves, the segment limit, the segment range and an empty
+    # message in that order
+    other, = (m for m in CORE_MODULES if m is not core)
+    bad = [((j, k, [1]), {}, _KEY)
            for j, k in ((2**40, 2), (2**32, 0), (0, -1), (-1, 2))]
-    bad += [((1, 2, values), ValueError)
+    bad += [((1, 2, values), {}, _RANGE)
             for values in ([2**40, -5], [-1], [2**32], [0] * 300 + [2**32])]
-    bad += [((1, 2, []), EmptyMessageError),
-            ((1, 2, [0] * 4, 3), MessageLimitError),
-            ((1, 2, [0, 0, 2**32], 2), MessageLimitError),
-            ((1, 2, [0] * (SEGMENT_BLOCKS + 2), SEGMENT_BLOCKS + 1),
-             MessageLimitError)]
-    for args, error in bad:
-        with pytest.raises(ValueError) as info:
-            core.mac_values(*args)
-        assert info.type is error, args[:2]
+    bad += [((1, 2, []), {}, _EMPTY),
+            ((1, 2, [0] * 4), {"limit": 3}, _OVER),
+            ((1, 2, [0, 0, 2**32]), {"limit": 2}, _OVER),
+            ((1, 2, [0] * (SEGMENT_BLOCKS + 2)), {"limit": SEGMENT_BLOCKS + 1},
+             _OVER),
+            ((2**40, 2, [1]), {"limit": 0}, _LIMIT),
+            ((1, 2, []), {"limit": 0}, _LIMIT),
+            ((2**40, 2, [2**32] * 4), {"limit": 3}, _KEY),
+            ((2**40, 2, []), {}, _KEY),
+            ((1, 2, [2**32] * 4), {"limit": 3}, _OVER)]
+    for args, kwargs, (error, text) in bad:
+        got = _refusal(core.mac_values, *args, **kwargs)
+        assert got == _refusal(other.mac_values, *args, **kwargs), args[:2]
+        assert got[0] is error and got[1].startswith(text), (args[:2], got)
+    got = _refusal(core.prelude, 2**40, 2)
+    assert got == _refusal(other.prelude, 2**40, 2)
+    assert got[0] is _KEY[0] and got[1].startswith(_KEY[1])
 
 
 @given(st.binary(min_size=1, max_size=64), st.lists(st.integers(0, 64)))
@@ -199,15 +224,24 @@ def test_words_match_message_blocks(payload, cuts):
     # gate core's padded blocks
     cuts = sorted(c % (len(payload) + 1) for c in cuts)
     chunks = [payload[a:b] for a, b in zip([0, *cuts], [*cuts, len(payload)])]
-    assert list(nativecore.words(chunks)) == \
+    assert list(maa.words(chunks)) == \
         [b.value for b in message_blocks(payload)]
-    assert list(nativecore.words([payload[i:i + 1]
-                                  for i in range(len(payload))])) == \
-        list(nativecore.words([payload]))
+    assert list(maa.words([payload[i:i + 1]
+                           for i in range(len(payload))])) == \
+        list(maa.words([payload]))
 
 
-@pytest.mark.parametrize("limit", [1, 255, 256, 257, 513])
-def test_streamed_limit_is_exact(limit):
+def _on_both_cores(limits):
+    """(core, limit) cases; in this module the native core's ids are the
+    bare limits, the gate core's carry its name."""
+    return [pytest.param(core, limit, id=str(limit) if core is nativecore
+                         else f"{name}-{limit}")
+            for name, core in zip(CORES, CORE_MODULES) for limit in limits]
+
+
+@pytest.mark.parametrize("core, limit",
+                         _on_both_cores([1, 255, 256, 257, 513]))
+def test_streamed_limit_is_exact(core, limit):
     payload = bytes(range(251)) * (4 * limit // 251 + 1)
 
     def chunks(n):
@@ -215,15 +249,14 @@ def test_streamed_limit_is_exact(limit):
 
     want = nativecore.mac_values(
         1, 2, [b.value for b in message_blocks(payload[:4 * limit - 1])])
-    assert nativecore.mac_values(1, 2, nativecore.words(chunks(4 * limit - 1)),
-                                 limit=limit) == want
+    assert core.mac_values(1, 2, maa.words(chunks(4 * limit - 1)),
+                           limit=limit) == want
     with pytest.raises(MessageLimitError):
-        nativecore.mac_values(1, 2, nativecore.words(chunks(4 * limit + 1)),
-                              limit=limit)
+        core.mac_values(1, 2, maa.words(chunks(4 * limit + 1)), limit=limit)
 
 
-@pytest.mark.parametrize("limit", [1, 256, 300])
-def test_limit_stops_reading_an_endless_stream(limit):
+@pytest.mark.parametrize("core, limit", _on_both_cores([1, 256, 300]))
+def test_limit_stops_reading_an_endless_stream(core, limit):
     chunk = 1001
     bound = 4 * (limit + SEGMENT_BLOCKS) + chunk
     pulled = 0
@@ -237,7 +270,7 @@ def test_limit_stops_reading_an_endless_stream(limit):
             yield bytes(chunk)
 
     with pytest.raises(MessageLimitError):
-        nativecore.mac_values(1, 2, nativecore.words(endless()), limit=limit)
+        core.mac_values(1, 2, maa.words(endless()), limit=limit)
     assert pulled <= bound
 
 
@@ -261,6 +294,8 @@ def _mul1_without_end_around_carry(a, b):
         "no-fix2-and"])
 def test_corpus_catches_one_line_mutants(monkeypatch, name, mutant):
     # the corpus must not pass vacuously: each mutant of the native core
-    # has to fail at least one check
-    monkeypatch.setattr(nativecore, name, mutant)
+    # has to fail at least one check; the segment length is the package
+    # root's, which segments reads
+    monkeypatch.setattr(maa if name == "SEGMENT_BLOCKS" else nativecore,
+                        name, mutant)
     assert kat.run_suite("ALL", "native").failed > 0

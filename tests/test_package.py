@@ -11,7 +11,7 @@ from maa import kat, maacore, nativecore, wordcore
 
 PUBLIC = ["Block", "EmptyMessageError", "Key", "MESSAGE_BLOCK_LIMIT",
           "MacStream", "MessageLimitError", "SEGMENT_BLOCKS", "mac_blocks",
-          "mac_message", "message_blocks", "run_suite"]
+          "mac_message", "message_blocks", "run_suite", "words"]
 
 # The maa modules that importing each one loads.  Neither core loads the
 # other, and the command line loads only the native core until a command
@@ -39,7 +39,7 @@ def test_each_module_imports_on_its_own(module, child_env):
 
 def test_public_names_resolve_to_their_modules():
     assert maa.__all__ == PUBLIC
-    homes = {"Block": [wordcore], "run_suite": [kat]}
+    homes = {"Block": [wordcore], "run_suite": [kat], "words": [maa]}
     for name in PUBLIC:
         for module in homes.get(name, [maacore]):
             assert getattr(maa, name) is getattr(module, name), name
@@ -53,10 +53,12 @@ def test_public_names_resolve_to_their_modules():
 
 
 def test_both_cores_share_the_boundary():
-    for name in ("EmptyMessageError", "MessageLimitError",
-                 "MESSAGE_BLOCK_LIMIT", "SEGMENT_BLOCKS"):
+    # both cores read, check and refuse input through the root's names
+    for name in ("LIMIT_BELOW_ONE", "MESSAGE_BLOCK_LIMIT", "check_key",
+                 "segments"):
         assert getattr(maa, name) is getattr(maacore, name) \
             is getattr(nativecore, name), name
+    assert not hasattr(nativecore, "words")
     # so one except clause catches either core's refusal
     key = maacore.Key.from_hex("00000001", "00000002")
     refusals = {

@@ -192,12 +192,30 @@ _ARITHMETIC = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
                ast.Pow)
 
 
+def _host_arithmetic(tree):
+    return [(type(node).__name__, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, _ARITHMETIC)
+            or isinstance(node, ast.UnaryOp)
+            and isinstance(node.op, ast.USub)]
+
+
 @pytest.mark.parametrize("module", [wordcore, maaops])
 def test_gate_modules_use_no_host_arithmetic(module):
     tree = ast.parse(Path(module.__file__).read_text())
-    found = [(type(node).__name__, node.lineno) for node in ast.walk(tree)
-             if isinstance(node, (ast.BinOp, ast.AugAssign))
-             and isinstance(node.op, _ARITHMETIC)
-             or isinstance(node, ast.UnaryOp)
-             and isinstance(node.op, ast.USub)]
-    assert found == []
+    assert _host_arithmetic(tree) == []
+
+
+# maacore's phases; MacStream, message_blocks and mac_message keep their
+# block counters and padding outside the rule
+GATE_PHASES = ("power_chain", "prelude", "main_loop", "loop_trace", "coda",
+               "mac_values")
+
+
+def test_gate_phases_use_no_host_arithmetic():
+    tree = ast.parse(Path(maacore.__file__).read_text())
+    phases = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef)}
+    assert set(GATE_PHASES) <= set(phases)
+    for name in GATE_PHASES:
+        assert _host_arithmetic(phases[name]) == [], name
