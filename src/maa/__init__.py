@@ -9,11 +9,14 @@ against each other.
 This module holds what the two cores share: the message limits, the
 errors of a refused message, the suite and core names, and the input
 boundary (words, segments and check_key), through which both cores read
-and refuse a message alike.  Every other public name is imported from
-its module on first use (PEP 562).
+and refuse a message alike.  A key half or block value must be an int
+(bool is one, so True is the word 1) from 0 to 2**32-1; anything else
+is refused with ValueError before either core sees it.  Every other
+public name is imported from its module on first use (PEP 562).
 """
 
 import struct
+from array import array
 from itertools import islice
 
 __version__ = "0.1.0"
@@ -24,6 +27,9 @@ MESSAGE_BLOCK_LIMIT = 1_000_000
 LIMIT_BELOW_ONE = "block limit must be at least 1"
 
 SEGMENT_BLOCKS = 256
+
+NOT_AN_INT = "key halves and block values must be ints"
+assert array("I").itemsize == 4, "array('I') must hold 32-bit words"
 
 SUITES = ("T1", "T2", "T3", "T4", "ANNEX_E", "LONG")
 CORES = {"gate": "maacore", "native": "nativecore"}  # name: its module
@@ -44,10 +50,22 @@ class MessageLimitError(ValueError):
                 f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
 
 
+def _check_words(values, range_text):
+    """Refuse values unless each is an int from 0 to 2**32-1, checked in C
+    by array("I"): a non-int with NOT_AN_INT, an int out of range with
+    range_text(), which runs only then."""
+    try:
+        try:
+            array("I", values)
+        except OverflowError:
+            raise ValueError(range_text()) from None
+    except TypeError:  # from array, or from range_text on a mixed list
+        raise ValueError(NOT_AN_INT) from None
+
+
 def check_key(j, k):
-    if not (0 <= j <= 0xFFFFFFFF and 0 <= k <= 0xFFFFFFFF):
-        raise ValueError(f"key halves must be 32-bit words, got "
-                         f"{j:#x} and {k:#x}")
+    _check_words((j, k), lambda: f"key halves must be 32-bit words, got "
+                                 f"{hex(j)} and {hex(k)}")
 
 
 def words(chunks):
@@ -66,8 +84,8 @@ def words(chunks):
 
 def segments(values, limit):
     """Block values as lists of up to SEGMENT_BLOCKS, each checked as a
-    whole before it is yielded, the limit first, then the range; so an
-    over-limit stream is read one segment past the limit at most.  No
+    whole before it is yielded, the limit first, then type and range; so
+    an over-limit stream is read one segment past the limit at most.  No
     values at all raise EmptyMessageError."""
     it = iter(values)
     count = 0
@@ -75,9 +93,8 @@ def segments(values, limit):
         count += len(seg)
         if count > limit:
             raise MessageLimitError(limit)
-        if min(seg) < 0 or max(seg) > 0xFFFFFFFF:
-            raise ValueError(f"block values must be 32-bit words, got "
-                             f"{min(seg):#x} to {max(seg):#x}")
+        _check_words(seg, lambda: f"block values must be 32-bit words, got "
+                                  f"{hex(min(seg))} to {hex(max(seg))}")
         yield seg
     if not count:
         raise EmptyMessageError()

@@ -1,19 +1,20 @@
 """Known-answer corpus: loader and suite runner for both cores.
 
 The corpus lives in vectors.txt next to this module, one record per
-line; the file's header comments give the grammar.  Each record names an
-operation, its inputs, and one expected value per output key, so a
-single published table row may unfold into several checks here.  The
-runner executes a record on the gate-level core, the native-word core,
-or both, and compares every requested output.
+line; the file's header comments give the grammar, and tests/test_kat.py
+checks every record against it by running the record's op.  Each record
+names an operation, its inputs, and one expected value per output key,
+so a single published table row may unfold into several checks here.
+The runner executes a record on the gate-level core, the native-word
+core, or both, and compares every requested output.
 
 One runner serves every core through one int interface, nativecore's
 signatures: each core is a module that defines them, maacore for the
 gate core (its int entry for a whole message is mac_values) and
 nativecore for the native one, imported by core_module on first use.
 A new core is one entry in maa.CORES, its name and its module's name
-(`maa selftest --core` lists them).  A new op is one entry in _OPS: its
-input names, output names and run on a core module.
+(`maa selftest --core` lists them).  A new op is one entry in _OPS:
+its run on a core module.
 
 Suites:
 
@@ -25,11 +26,10 @@ Suites:
   LONG     whole-message MACs up to 4100 blocks
 """
 
-import re
 from collections import namedtuple
 from importlib import import_module, resources
 
-from . import CORES, SEGMENT_BLOCKS, SUITES
+from . import CORES, SUITES
 
 # Row counts of the published tables.  Where the corpus splits a row
 # into one check per value the totals drift apart; run_suite notes the
@@ -51,16 +51,6 @@ _PRELUDE_KEYS = ("x0", "y0", "v0", "w", "s", "t")
 # FULL_2BLOCK's names for the per-step registers that _chain records
 _TWO_BLOCK_KEYS = {"x": "x01", "y": "y01", "xp": "x02", "yp": "y02",
                    "xpp": "cx1", "ypp": "cy1", "xppp": "cx2", "yppp": "cy2"}
-
-_WORD_RE = re.compile(r"[0-9A-F]{8}\Z")
-_BYTE_RE = re.compile(r"[0-9A-F]{2}\Z")
-_COUNT_RE = re.compile(r"[1-9][0-9]*\Z")
-_CHAIN_OUT_RE = re.compile(r"(?:[xy]([0-9]{2})|c[xy][12]|z)\Z")
-
-
-class CorpusError(ValueError):
-    """vectors.txt does not follow its own grammar."""
-
 
 VectorRecord = namedtuple("VectorRecord", "suite name op inputs outputs")
 
@@ -93,99 +83,26 @@ class SuiteReport(namedtuple("SuiteReport", "suite core checks notes")):
         return [c for c in self.checks if not c.ok]
 
 
-def _parse_kv(chunk, line_no, side):
-    pairs = {}
-    for item in chunk.split(","):
-        key, sep, value = item.partition("=")
-        if not sep or not key or not value:
-            raise CorpusError(f"line {line_no}: malformed {side} item {item!r}")
-        if key in pairs:
-            raise CorpusError(f"line {line_no}: duplicate {side} key {key!r}")
-        pairs[key] = value
-    return pairs
-
-
-def _check_width(key, value, line_no):
-    if key == "count":
-        pattern, kind = _COUNT_RE, "a positive decimal count"
-    elif key == "p":
-        pattern, kind = _BYTE_RE, "2 uppercase hex digits"
-    else:
-        pattern, kind = _WORD_RE, "8 uppercase hex digits"
-    if not pattern.match(value):
-        raise CorpusError(
-            f"line {line_no}: {key}={value!r} is not {kind}")
-
-
-def _validate_outputs(rec, line_no):
-    allowed = _OPS[rec.op].outs
-    if allowed is not None:
-        bad = set(rec.outputs) - allowed
-        if bad:
-            raise CorpusError(
-                f"line {line_no}: {rec.op} cannot produce {sorted(bad)}")
-        return
-    # CHAIN_TRACE: per-iteration x/y keys bounded by count
-    count = int(rec.inputs["count"])
-    if count > SEGMENT_BLOCKS:
-        raise CorpusError(
-            f"line {line_no}: CHAIN_TRACE is single-segment, count "
-            f"{count} > {SEGMENT_BLOCKS}")
-    for key in rec.outputs:
-        m = _CHAIN_OUT_RE.match(key)
-        if not m:
-            raise CorpusError(f"line {line_no}: CHAIN_TRACE cannot "
-                              f"produce {key!r}")
-        if m.group(1) is not None and not 1 <= int(m.group(1)) <= count:
-            raise CorpusError(f"line {line_no}: {key!r} is outside the "
-                              f"{count}-block chain")
-
-
-def _parse(text):
-    records = []
-    seen = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 5:
-            raise CorpusError(f"line {line_no}: expected 5 fields, "
-                              f"got {len(fields)}")
-        suite, name, op, ins, outs = fields
-        if suite not in SUITES:
-            raise CorpusError(f"line {line_no}: unknown suite {suite!r}")
-        if op not in _OPS:
-            raise CorpusError(f"line {line_no}: unknown op {op!r}")
-        if not ins.startswith("in:") or not outs.startswith("out:"):
-            raise CorpusError(f"line {line_no}: expected in:... out:...")
-        if (suite, name) in seen:
-            raise CorpusError(f"line {line_no}: duplicate record "
-                              f"{suite}/{name}")
-        seen.add((suite, name))
-        inputs = _parse_kv(ins[3:], line_no, "input")
-        outputs = _parse_kv(outs[4:], line_no, "output")
-        if set(inputs) != _OPS[op].ins:
-            raise CorpusError(
-                f"line {line_no}: {op} needs inputs "
-                f"{sorted(_OPS[op].ins)}, got {sorted(inputs)}")
-        for key, value in [*inputs.items(), *outputs.items()]:
-            _check_width(key, value, line_no)
-        rec = VectorRecord(suite, name, op, inputs, outputs)
-        _validate_outputs(rec, line_no)
-        records.append(rec)
-    return records
-
-
 _RECORDS = None
 
 
+def _pairs(field):
+    """The key=value items after a field's in: or out: tag, as a dict."""
+    return dict(item.split("=") for item in field.partition(":")[2].split(","))
+
+
 def load_vectors():
-    """All corpus records, parsed and validated, in file order."""
+    """All corpus records in file order, their values as strings.
+
+    vectors.txt is sealed by its SHA-256 and a tier-1 test checks its
+    grammar, so the loader only splits each record into its fields.
+    """
     global _RECORDS
     if _RECORDS is None:
         text = resources.files("maa").joinpath("vectors.txt").read_text("ascii")
-        _RECORDS = _parse(text)
+        rows = [line.split() for line in text.splitlines()]
+        _RECORDS = [VectorRecord(*f[:3], _pairs(f[3]), _pairs(f[4]))
+                    for f in rows if f and not f[0].startswith("#")]
     return _RECORDS
 
 
@@ -247,32 +164,22 @@ def _full_2block(core, i):
     return outs
 
 
-# Each op once: its input names, its output names (None where they depend
-# on the record's count; _validate_outputs checks those) and its run on a
-# core module, from the record's inputs as ints.
-_Op = namedtuple("_Op", "ins outs run")
+# Each op once: its run on a core module, from the record's inputs as
+# ints, to every output it yields.
 _OPS = {
-    "MUL1": _Op({"a", "b"}, {"w"}, lambda c, i: {"w": c.mul1(i["a"], i["b"])}),
-    "MUL2": _Op({"a", "b"}, {"w"}, lambda c, i: {"w": c.mul2(i["a"], i["b"])}),
-    "MUL2A": _Op({"a", "b"}, {"w"},
-                 lambda c, i: {"w": c.mul2a(i["a"], i["b"])}),
-    "PAT": _Op({"a", "b"}, {"p"}, lambda c, i: {"p": c.pat(i["a"], i["b"])}),
-    "BYT": _Op({"a", "b"}, {"u", "l"},
-               lambda c, i: dict(zip("ul", c.byt(i["a"], i["b"])))),
-    "PRELUDE_CHAIN": _Op({"j1", "k1", "p"},
-                         {*(f.lower() for f in _CHAIN_FIELDS), "qp"},
-                         _prelude_chain),
-    "PRELUDE": _Op({"j", "k"}, {*_PRELUDE_KEYS}, lambda c, i:
-                   dict(zip(_PRELUDE_KEYS, c.prelude(i["j"], i["k"])))),
-    "LOOP_TRACE": _Op({"a", "b", "c", "d", "x0", "y0", "v", "w", "m"},
-                      {*_TRACE_KEYS}, _loop_trace),
-    "FULL_2BLOCK": _Op({"j", "k", "m1", "m2"},
-                       {"p", *_PRELUDE_KEYS, *_TWO_BLOCK_KEYS, "z"},
-                       _full_2block),
-    "CHAIN_TRACE": _Op({"j", "k", "init", "incr", "count"}, None, lambda c, i:
-                       _chain(c, i["j"], i["k"], _progression(i))),
-    "LONG_MAC": _Op({"j", "k", "init", "incr", "count"}, {"z"}, lambda c, i:
-                    {"z": c.mac_values(i["j"], i["k"], _progression(i))}),
+    "MUL1": lambda c, i: {"w": c.mul1(i["a"], i["b"])},
+    "MUL2": lambda c, i: {"w": c.mul2(i["a"], i["b"])},
+    "MUL2A": lambda c, i: {"w": c.mul2a(i["a"], i["b"])},
+    "PAT": lambda c, i: {"p": c.pat(i["a"], i["b"])},
+    "BYT": lambda c, i: dict(zip("ul", c.byt(i["a"], i["b"]))),
+    "PRELUDE_CHAIN": _prelude_chain,
+    "PRELUDE": lambda c, i: dict(zip(_PRELUDE_KEYS,
+                                     c.prelude(i["j"], i["k"]))),
+    "LOOP_TRACE": _loop_trace,
+    "FULL_2BLOCK": _full_2block,
+    "CHAIN_TRACE": lambda c, i: _chain(c, i["j"], i["k"], _progression(i)),
+    "LONG_MAC": lambda c, i: {"z": c.mac_values(i["j"], i["k"],
+                                                _progression(i))},
 }
 
 
@@ -280,7 +187,7 @@ def _outs(rec, core):
     """Every output the record's op yields on one core module, as ints."""
     ins = {k: int(v, 10 if k == "count" else 16)
            for k, v in rec.inputs.items()}
-    return _OPS[rec.op].run(core, ins)
+    return _OPS[rec.op](core, ins)
 
 
 def run_record(record, core):

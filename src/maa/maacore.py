@@ -98,7 +98,7 @@ def power_chain(j1, k1, p):
     return im
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)  # typed: an int key never answers for 1.0
 def prelude(j, k):
     """Expand the key halves J, K into (X0, Y0, V0, W, S, T).
 

@@ -186,6 +186,7 @@ _KEY = (ValueError, "key halves must be 32-bit words")
 _OVER = (MessageLimitError, "message exceeds the")
 _RANGE = (ValueError, "block values must be 32-bit words")
 _EMPTY = (EmptyMessageError, "the MAC of an empty message")
+_NOT_INT = (ValueError, maa.NOT_AN_INT)
 
 
 @pytest.mark.parametrize("core", CORE_MODULES, ids=list(CORES))
@@ -216,6 +217,18 @@ def test_both_cores_refuse_bad_input_alike(core):
     got = _refusal(core.prelude, 2**40, 2)
     assert got == _refusal(other.prelude, 2**40, 2)
     assert got[0] is _KEY[0] and got[1].startswith(_KEY[1])
+    # a non-int is refused alike, and a warm gate prelude cache does not
+    # answer for a float key half equal to the int it holds
+    maacore.prelude(1, 2)
+    assert _refusal(core.prelude, 1.0, 2) == _NOT_INT
+    for args in ((1.0, 2, [5]), (1, 2.0, [5]), (1, 2, [1.5]), (1, 2, ["a"]),
+                 (1, 2, [2**40, "a"]), (1, 2, [2**40, 1.5]),
+                 (1, 2, [0] * 300 + [1.5])):
+        got = _refusal(core.mac_values, *args)
+        assert got == _refusal(other.mac_values, *args) == _NOT_INT, args
+    # bool is an int: True is the word 1
+    assert core.mac_values(True, 2, [True, 0]) == \
+        other.mac_values(1, 2, [1, 0])
 
 
 @given(st.binary(min_size=1, max_size=64), st.lists(st.integers(0, 64)))
