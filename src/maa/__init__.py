@@ -8,11 +8,11 @@ against each other.
 
 This module holds what the two cores share: the message limits, the
 errors of a refused message, the suite and core names, and the input
-boundary (words, segments and check_key), through which both cores read
-and refuse a message alike.  A key half or block value must be an int
-(bool is one, so True is the word 1) from 0 to 2**32-1; anything else
-is refused with ValueError before either core sees it.  Every other
-public name is imported from its module on first use (PEP 562).
+boundary (words, segments and check_key), through which both cores and
+the gate core's Block face refuse a message alike.  A key half or block
+value must be an int (bool is one, so True is the word 1) from 0 to
+2**32-1, else a ValueError refuses it before either core sees it.  Every
+other public name is imported from its module on first use (PEP 562).
 """
 
 import struct
@@ -50,22 +50,27 @@ class MessageLimitError(ValueError):
                 f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
 
 
-def _check_words(values, range_text):
+def _block_range(values):
+    return (f"block values must be 32-bit words, got "
+            f"{hex(min(values))} to {hex(max(values))}")
+
+
+def _check_words(values, range_text=_block_range):
     """Refuse values unless each is an int from 0 to 2**32-1, checked in C
     by array("I"): a non-int with NOT_AN_INT, an int out of range with
-    range_text(), which runs only then."""
+    range_text(values), by default a block's text, which runs only then."""
     try:
         try:
             array("I", values)
         except OverflowError:
-            raise ValueError(range_text()) from None
+            raise ValueError(range_text(values)) from None
     except TypeError:  # from array, or from range_text on a mixed list
         raise ValueError(NOT_AN_INT) from None
 
 
 def check_key(j, k):
-    _check_words((j, k), lambda: f"key halves must be 32-bit words, got "
-                                 f"{hex(j)} and {hex(k)}")
+    _check_words((j, k), lambda _: f"key halves must be 32-bit words, got "
+                                   f"{hex(j)} and {hex(k)}")
 
 
 def words(chunks):
@@ -93,8 +98,7 @@ def segments(values, limit):
         count += len(seg)
         if count > limit:
             raise MessageLimitError(limit)
-        _check_words(seg, lambda: f"block values must be 32-bit words, got "
-                                  f"{hex(min(seg))} to {hex(max(seg))}")
+        _check_words(seg)
         yield seg
     if not count:
         raise EmptyMessageError()

@@ -76,7 +76,7 @@ def cmd_mac(args):
 def cmd_trace(args):
     from .maacore import Key, MacStream
     from .wordcore import Block
-    key = Key(*map(Block.from_int, _parse_key(args.key)))
+    key = Key(*map(Block, _parse_key(args.key)))
     values = words(_chunks(args))
     first = next(values, None)
     if first is None:
@@ -87,7 +87,7 @@ def cmd_trace(args):
     print(f"X0={x0.hex()} Y0={y0.hex()} V0={v0.hex()} "
           f"W={w.hex()} S={s.hex()} T={t.hex()}")
     print(f"{'n':>6}  {'block':8}  {'X':8}  {'Y':8}  {'V':8}  {'Z':8}")
-    for block in map(Block.from_int, chain((first,), values)):
+    for block in map(Block, chain((first,), values)):
         x, y, v = stream.push(block)
         print(f"{stream.total_blocks:>6}  {block.hex()}  {x.hex()}"
               f"  {y.hex()}  {v.hex()}  {stream.mac().hex()}")
@@ -129,7 +129,17 @@ def _scenario_word(token, line_no, what):
         _scenario_error(line_no, f"{what} wants 8 hex digits, got {token!r}")
 
 
-class _ScenarioRun:
+# Each scenario command: the argument counts it takes, and its usage text
+_SCENARIO_USAGE = {
+    "key": ((2,), "key wants two 8-digit words (J K)"),
+    "block": ((1,), "block wants one 8-digit word"),
+    "expect": ((2,), "expect wants a register and a word"),
+    "cycle": ((0, 1), "cycle wants at most one count"),
+    "reset": ((0,), "reset takes no arguments"),
+}
+
+
+def cmd_scenario(args):
     """Cycle-by-cycle register checks driven by a small script.
 
     key J K   set the key; the next cycle starts a fresh computation
@@ -141,100 +151,69 @@ class _ScenarioRun:
 
     A file that ends with queued expects gets one implicit final cycle.
     """
-
-    def __init__(self):
-        self.key = None
-        self.stream = None
-        self.block = None
-        self.pending = []
-        self.passed = 0
-        self.failed = 0
-
-    def run(self, text):
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            self._command(line.split(), line_no)
-        if self.pending:
-            self._cycle(1, line_no="end")
-        return self.failed == 0
-
-    def _command(self, fields, line_no):
-        word, args = fields[0], fields[1:]
-        if word == "key":
-            if len(args) != 2:
-                _scenario_error(line_no, "key wants two 8-digit words (J K)")
-            j = _scenario_word(args[0], line_no, "J")
-            k = _scenario_word(args[1], line_no, "K")
-            self.key = (j, k)
-            self.stream = None
-        elif word == "block":
-            if len(args) != 1:
-                _scenario_error(line_no, "block wants one 8-digit word")
-            self.block = _scenario_word(args[0], line_no, "block")
-        elif word == "expect":
-            if len(args) != 2:
-                _scenario_error(line_no, "expect wants a register and a word")
-            reg = args[0].upper()
-            if reg not in ("X", "Y", "V", "Z"):
-                _scenario_error(line_no, f"no register {args[0]!r} "
-                                         "(X, Y, V or Z)")
-            want = _scenario_word(args[1], line_no, reg)
-            self.pending.append((line_no, reg, want))
-        elif word == "cycle":
-            if len(args) > 1:
-                _scenario_error(line_no, "cycle wants at most one count")
-            count = 1
-            if args:
-                if not args[0].isdigit() or int(args[0]) < 1:
-                    _scenario_error(line_no, f"bad cycle count {args[0]!r}")
-                count = int(args[0])
-            self._cycle(count, line_no)
-        elif word == "reset":
-            if args:
-                _scenario_error(line_no, "reset takes no arguments")
-            if self.key is None:
-                _scenario_error(line_no, "reset before key")
-            self.stream = None
-        else:
-            _scenario_error(line_no, f"unknown command {word!r}")
-
-    def _cycle(self, count, line_no):
-        if self.key is None:
-            _scenario_error(line_no, "cycle before key")
-        if self.block is None:
-            _scenario_error(line_no, "cycle before block")
-        if self.stream is None:
-            from .maacore import Key, MacStream
-            self.stream = MacStream(Key(*self.key))
-        if self.stream.total_blocks + count > self.stream.limit:
-            _scenario_error(line_no, str(MessageLimitError(self.stream.limit)))
-        for _ in range(count):
-            x, y, v = self.stream.push(self.block)
-        regs = {"X": x, "Y": y, "V": v}
-        for at, reg, want in self.pending:
-            got = regs[reg] if reg != "Z" else self.stream.mac()
-            if got == want:
-                self.passed += 1
-                print(f"line {at}: expect {reg} {want.hex()} ok")
-            else:
-                self.failed += 1
-                print(f"line {at}: expect {reg} {want.hex()} FAILED "
-                      f"(got {got.hex()})")
-        self.pending.clear()
-
-
-def cmd_scenario(args):
+    from .maacore import Key, MacStream
     try:
         with open(args.path, "r", encoding="ascii") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise _UsageError(f"cannot read {args.path}: {e}")
-    run = _ScenarioRun()
-    ok = run.run(text)
-    print(f"scenario: {run.passed} passed, {run.failed} failed")
-    return 0 if ok else 1
+    key = stream = block = None
+    pending, verdicts = [], []
+
+    def cycle(count, at):
+        nonlocal stream
+        if key is None:
+            _scenario_error(at, "cycle before key")
+        if block is None:
+            _scenario_error(at, "cycle before block")
+        if stream is None:
+            stream = MacStream(key)
+        if stream.total_blocks + count > stream.limit:
+            _scenario_error(at, str(MessageLimitError(stream.limit)))
+        for _ in range(count):
+            x, y, v = stream.push(block)
+        regs = {"X": x, "Y": y, "V": v}
+        for line_no, reg, want in pending:
+            got = regs[reg] if reg != "Z" else stream.mac()
+            verdicts.append(got == want)
+            print(f"line {line_no}: expect {reg} {want.hex()} "
+                  + ("ok" if got == want else f"FAILED (got {got.hex()})"))
+        pending.clear()
+
+    for at, raw in enumerate(text.splitlines(), start=1):
+        if not (fields := raw.split("#", 1)[0].split()):
+            continue
+        name, *params = fields
+        if name not in _SCENARIO_USAGE:
+            _scenario_error(at, f"unknown command {name!r}")
+        counts, usage = _SCENARIO_USAGE[name]
+        if len(params) not in counts:
+            _scenario_error(at, usage)
+        if name == "key":
+            j = _scenario_word(params[0], at, "J")
+            key = Key(j, _scenario_word(params[1], at, "K"))
+            stream = None
+        elif name == "block":
+            block = _scenario_word(params[0], at, "block")
+        elif name == "expect":
+            reg = params[0].upper()
+            if reg not in ("X", "Y", "V", "Z"):
+                _scenario_error(at, f"no register {params[0]!r} "
+                                    "(X, Y, V or Z)")
+            pending.append((at, reg, _scenario_word(params[1], at, reg)))
+        elif name == "cycle":
+            if params and not (params[0].isdigit() and int(params[0]) >= 1):
+                _scenario_error(at, f"bad cycle count {params[0]!r}")
+            cycle(int(params[0]) if params else 1, at)
+        else:  # reset
+            if key is None:
+                _scenario_error(at, "reset before key")
+            stream = None
+    if pending:
+        cycle(1, "end")
+    passed = verdicts.count(True)
+    print(f"scenario: {passed} passed, {len(verdicts) - passed} failed")
+    return 0 if all(verdicts) else 1
 
 
 def cmd_bench(args):

@@ -14,7 +14,9 @@ gate core (its int entry for a whole message is mac_values) and
 nativecore for the native one, imported by core_module on first use.
 A new core is one entry in maa.CORES, its name and its module's name
 (`maa selftest --core` lists them).  A new op is one entry in _OPS:
-its run on a core module.
+its run on a core module.  PRELUDE_CHAIN and LOOP_TRACE yield a core's
+own record, power_chain's or loop_trace's, under its keys lowercased,
+so the runner restates none of the cores' field names.
 
 Suites:
 
@@ -36,15 +38,6 @@ from . import CORES, SUITES
 # difference instead of failing, since every transcribed value is still
 # checked.
 OFFICIAL_COUNTS = {"T1": 36, "T2": 56, "T3": 64, "T4": 45}
-
-_CHAIN_FIELDS = (
-    "J12", "J14", "J16", "J18", "J22", "J24", "J26", "J28",
-    "K12", "K14", "K15", "K17", "K19", "K22", "K24", "K25", "K27", "K29",
-    "H0", "H4", "H5", "H6", "H7", "H8", "H9",
-)
-
-_TRACE_KEYS = ("vp", "e", "x", "y", "f", "g", "fp", "gp", "fpp", "gpp",
-               "xp", "yp", "z")
 
 _PRELUDE_KEYS = ("x0", "y0", "v0", "w", "s", "t")
 
@@ -147,13 +140,13 @@ def _chain(core, j, k, blocks):
 
 def _prelude_chain(core, i):
     im = core.power_chain(i["j1"], i["k1"], i["p"])
-    return {**{f.lower(): im[f] for f in _CHAIN_FIELDS}, "qp": core.q(i["p"])}
+    return {**{k.lower(): v for k, v in im.items()}, "qp": core.q(i["p"])}
 
 
 def _loop_trace(core, i):
     masks = (i["a"], i["c"], i["b"], i["d"])
     tr = core.loop_trace(i["x0"], i["y0"], i["v"], i["w"], i["m"], masks)
-    return {k: tr[k.capitalize()] for k in _TRACE_KEYS}
+    return {k.lower(): v for k, v in tr.items()}
 
 
 def _full_2block(core, i):

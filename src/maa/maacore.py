@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from . import EmptyMessageError, MessageLimitError, LIMIT_BELOW_ONE
-from . import MESSAGE_BLOCK_LIMIT, SEGMENT_BLOCKS, check_key, segments
+from . import EmptyMessageError, MessageLimitError, SEGMENT_BLOCKS, check_key
+from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, _check_words, segments
 from .wordcore import Block, add_block
 from .maaops import (
     FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
@@ -182,6 +182,7 @@ class MacStream:
             raise TypeError(f"expected a Block, got {type(block).__name__}")
         if self.total_blocks >= self.limit:
             raise MessageLimitError(self.limit)
+        _check_words((block.value,))
         x0, y0, v0, w, _, _ = self._pre
         if self.total_blocks and self.total_blocks % SEGMENT_BLOCKS == 0:
             self._regs = main_loop(x0, y0, v0, w, self.mac().value)

@@ -21,6 +21,8 @@ mac_blocks, mac_message): a Block wraps one such int in its `value` slot.
 
 import re
 
+from . import _check_words
+
 
 def adder(a, b, cin, width):
     """Carry-completion adder on width-bit words: (carry, sum) with
@@ -66,8 +68,9 @@ MASK32 = 0xFFFFFFFF
 class Block:
     """A 32-bit word, the MAA's unit at the public API: message blocks, key
     halves, the registers a stream reports and the result.  Its bits are
-    the host int in the `value` slot, most significant first; Block(v)
-    takes v as a word already, and from_int checks it."""
+    the host int in the `value` slot, most significant first.  Block(v)
+    holds v unchecked; from_int, and MacStream.push on every block it is
+    given, refuse a non-word through the package root's check."""
 
     __slots__ = ("value",)
 
@@ -76,8 +79,7 @@ class Block:
 
     @classmethod
     def from_int(cls, v):
-        if not 0 <= v <= MASK32:
-            raise ValueError(f"block value out of range: {v}")
+        _check_words((v,), lambda _: f"block value out of range: {v}")
         return cls(v)
 
     @classmethod

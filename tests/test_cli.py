@@ -2,8 +2,10 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from maa.maacore import (
 )
 
 KEY = "00FF00FF" "00000000"
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -265,16 +269,9 @@ def test_no_subcommand_is_a_usage_error(capsys):
 def test_scenario_walkthrough(tmp_path, capsys):
     path = tmp_path / "demo.scenario"
     # a comment line, then the README's script as written
-    path.write_text(
-        "# two-block walkthrough\n"
-        "key 00FF00FF 00000000    # J K; next cycle starts fresh\n"
-        "block 55555555           # block fed on every following cycle\n"
-        "expect X 48B204D6        # checked after the next cycle completes\n"
-        "expect Y 5834A585\n"
-        "cycle                    # run one cycle (or: cycle 12)\n"
-        "block AAAAAAAA\n"
-        "expect Z F14D6E28        # Z is the MAC as of that cycle\n"
-    )
+    section = README.read_text().split("### Scenario files\n", 1)[1]
+    script = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    path.write_text("# two-block walkthrough\n" + script)
     code, out, _ = run(capsys, "scenario", str(path))
     assert code == 0
     assert out == ("line 4: expect X 48B204D6 ok\n"
@@ -330,6 +327,13 @@ def test_scenario_parse_errors(tmp_path, capsys):
          "line 2: block wants 8 hex digits"),
         ("key 00FF00FF 00000000\nblock 55555555\nexpect X 0x000000\n",
          "line 3: X wants 8 hex digits"),
+        # each command's argument count, checked before the words
+        ("key 00FF00FF 00000000 00000000\n",
+         "line 1: key wants two 8-digit words (J K)"),
+        ("block\n", "line 1: block wants one 8-digit word"),
+        ("expect X\n", "line 1: expect wants a register and a word"),
+        ("cycle 1 2\n", "line 1: cycle wants at most one count"),
+        ("reset now\n", "line 1: reset takes no arguments"),
     ]
     for body, expected in cases:
         path = tmp_path / "case.scenario"

@@ -151,16 +151,23 @@ def test_a_gate_op_bound_on_maacore_reaches_every_record_kind(monkeypatch):
 
 
 def test_core_records_hold_exactly_the_corpus_fields():
-    # each core's prelude and loop records carry what the corpus checks,
-    # and nothing the caller passed in
+    # each core's prelude and loop records carry, lowercased, exactly the
+    # outputs the corpus checks on them (PRELUDE_CHAIN's qp is Q's, not
+    # the record's), and nothing the caller passed in
+    checked = {op: set() for op in ("PRELUDE_CHAIN", "LOOP_TRACE")}
+    for r in kat.load_vectors():
+        if r.op in checked:
+            checked[r.op].update(r.outputs)
+    checked["PRELUDE_CHAIN"].remove("qp")
+    assert len(checked["PRELUDE_CHAIN"]) == 25
+    assert len(checked["LOOP_TRACE"]) == 13
     j1, k1, p = 0x0103F703, 0x0001FFFF, 0x0F
-    gate = maacore.power_chain(j1, k1, p)
-    native = nativecore.power_chain(j1, k1, p)
-    assert set(gate) == set(native) == set(kat._CHAIN_FIELDS)
     regs = (0x21, 0x22, 0x23, 0x24, 0x55555555)
-    trace_keys = {k.capitalize() for k in kat._TRACE_KEYS}
-    assert set(maacore.loop_trace(*regs)) == trace_keys
-    assert set(nativecore.loop_trace(*regs)) == trace_keys
+    for core in (maacore, nativecore):
+        chain = core.power_chain(j1, k1, p)
+        assert {k.lower() for k in chain} == checked["PRELUDE_CHAIN"]
+        trace = core.loop_trace(*regs)
+        assert {k.lower() for k in trace} == checked["LOOP_TRACE"]
 
 
 def test_load_vectors_is_cached():

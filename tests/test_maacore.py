@@ -281,6 +281,15 @@ def test_push_rejects_blocks_that_are_not_blocks():
         mac_blocks(key, [1, 2])
     with pytest.raises(TypeError):
         mac_blocks(key, [Block.from_int(1), 2])
+    # a Block that holds no word is refused as mac_values refuses the word
+    for v in (-1, 2**32, 1.5, None):
+        with pytest.raises(ValueError) as want:
+            maacore.mac_values(0x80018001, 0x80018000, [v])
+        for run in (lambda: MacStream(key).push(Block(v)),
+                    lambda: mac_blocks(key, [Block(0), Block(v)])):
+            with pytest.raises(ValueError) as got:
+                run()
+            assert str(got.value) == str(want.value), v
 
 
 def test_streams_reject_keys_that_are_not_keys():

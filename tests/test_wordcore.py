@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maa
 from maa import maacore, maaops, nativecore, wordcore
 from maa.maaops import addc
 from maa.wordcore import Block, add_block, adder, mul_block, multiplier
@@ -63,6 +64,9 @@ def test_hex_round_trips():
     assert repr(Block.from_int(5)) == "Block(00000005)"
     for v in (-1, 2**32):
         with pytest.raises(ValueError, match="out of range"):
+            Block.from_int(v)
+    for v in (1.5, "5", None):
+        with pytest.raises(ValueError, match=maa.NOT_AN_INT):
             Block.from_int(v)
     # exactly eight hex digits: no prefix, separator, sign or whitespace
     for bad in ("123", "123456789", "XYZWXYZW", "0x00FF00", "00_FF_00",
