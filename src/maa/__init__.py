@@ -50,27 +50,23 @@ class MessageLimitError(ValueError):
                 f"(ISO 8731-2 default is {MESSAGE_BLOCK_LIMIT})")
 
 
-def _block_range(values):
-    return (f"block values must be 32-bit words, got "
-            f"{hex(min(values))} to {hex(max(values))}")
-
-
-def _check_words(values, range_text=_block_range):
+def _check_words(values, what="block values"):
     """Refuse values unless each is an int from 0 to 2**32-1, checked in C
     by array("I"): a non-int with NOT_AN_INT, an int out of range with
-    range_text(values), by default a block's text, which runs only then."""
+    "<what> must be 32-bit words" and the values' span, built only then."""
     try:
         try:
             array("I", values)
         except OverflowError:
-            raise ValueError(range_text(values)) from None
-    except TypeError:  # from array, or from range_text on a mixed list
+            raise ValueError(f"{what} must be 32-bit words, got "
+                             f"{hex(min(values))} to {hex(max(values))}"
+                             ) from None
+    except TypeError:  # from array, or from min/max on a mixed list
         raise ValueError(NOT_AN_INT) from None
 
 
 def check_key(j, k):
-    _check_words((j, k), lambda _: f"key halves must be 32-bit words, got "
-                                   f"{hex(j)} and {hex(k)}")
+    _check_words((j, k), "key halves")
 
 
 def words(chunks):

@@ -25,7 +25,6 @@ root's, shared with nativecore; this core imports nothing of the other.
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 from . import EmptyMessageError, MessageLimitError, SEGMENT_BLOCKS, check_key
 from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, _check_words, segments
@@ -183,12 +182,16 @@ class MacStream:
         if self.total_blocks >= self.limit:
             raise MessageLimitError(self.limit)
         _check_words((block.value,))
-        x0, y0, v0, w, _, _ = self._pre
-        if self.total_blocks and self.total_blocks % SEGMENT_BLOCKS == 0:
-            self._regs = main_loop(x0, y0, v0, w, self.mac().value)
-        self._regs = main_loop(*self._regs, w, block.value)
-        self.total_blocks += 1
+        self._step(block.value)
         return tuple(map(Block, self._regs))
+
+    def _step(self, value):
+        """Absorb one word that the caller has checked, as ints."""
+        x0, y0, v0, w, s, t = self._pre
+        if self.total_blocks and self.total_blocks % SEGMENT_BLOCKS == 0:
+            self._regs = main_loop(x0, y0, v0, w, coda(*self._regs, w, s, t))
+        self._regs = main_loop(*self._regs, w, value)
+        self.total_blocks += 1
 
     def mac(self):
         """MAC of all blocks pushed so far."""
@@ -207,10 +210,12 @@ def mac_blocks(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
 
 
 def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
-    """The gate core's int entry, refusing as nativecore.mac_values does."""
-    values = chain.from_iterable(segments(values, limit))
-    return mac_blocks(Key(Block(j), Block(k)), map(Block, values),
-                      limit).value
+    """The gate core's int entry; segments checks each word, once."""
+    stream = MacStream(Key(Block(j), Block(k)), limit)
+    for seg in segments(values, limit):
+        for v in seg:
+            stream._step(v)
+    return stream.mac().value
 
 
 def message_blocks(payload):

@@ -1,27 +1,28 @@
 """The MAA primitive operations (ISO 8731-2).
 
 Rotation, the two multiplier-conditioning masks, byte adjustment of
-key-derived values, carry-fold addition, and the three modular
-multiplications, all expressed over the gate-level words of wordcore,
-which are host ints here as there: CYC is wiring, PAT and BYT are
-per-byte OR and AND reductions, and every sum and product comes from
-wordcore's adder and multiplier.  As there, no + - * / // % ** touches a
-value here, and a tier-1 test checks it.
+key-derived values, carry-fold addition and the three modular
+multiplications, over wordcore's gate-level words (host ints here as
+there): CYC is wiring, PAT and BYT are per-byte OR and AND reductions,
+and every sum and product comes from wordcore's adder and multiplier.
+No + - * / // % ** touches a value here; a tier-1 test checks it.
 
-MUL1 and MUL2 reduce a 64-bit product modulo 2**32 - 1 and 2**32 - 2 by
-folding the upper half back into the lower with end-around carries.  The
-fold sequences below are literal: where the true residue has two
-encodings the algorithm's pick is whatever the fold produces.  The
-published vectors pin MUL2's pick; MUL1's they do not, and the tests pin
-it against closed forms written from arithmetic: MUL1(a, b) is 0 if
-ab = 0 and else ((ab - 1) mod (2**32 - 1)) + 1, and MUL2(a, b) is ab if
-ab < 2 and else ((ab - 2) mod (2**32 - 2)) + 2.
+MUL1 and MUL2 reduce the product ab = uN + l of two words (N = 2**32)
+modulo N - 1 and N - 2, folding the upper half u into the lower half l
+with end-around carries.  The folds are literal: where a residue has
+two encodings, the pick is the fold's.  The vectors pin MUL2's pick,
+not MUL1's; the tests pin both on closed forms, at 32 bits and, with
+8-bit gates bound here, on every 8-bit pair (N = 2**8): MUL1 is 0 if
+ab = 0, else (ab - 1) mod (N - 1) + 1; MUL2 is ab if ab < 2, else
+(ab - 2) mod (N - 2) + 2.  Any N holds: u <= N - 2, as (N - 1)**2 =
+(N - 2)N + 1, so a folded sum holds one carry at most.  MUL1: u + l is
+0 only if ab is, and u + l - N + 1 lies in 1..N - 2.  MUL2: the doubled
+u, 2u or 2u - N + 2, is even, at most N - 2 and 0 only if u is; adding
+l gives ab if u = 0 and l < 2, else a result in 2..N - 1.
 
-MUL2A is the main-loop variant of MUL2 that drops the carry of the
-upper-half doubling.  It agrees with MUL2 whenever the product's upper
-half is below 2**31, hence whenever either operand is (a derived bound,
-not part of the standard's text); inside the main loop the masked
-operand guarantees this.
+MUL2A, the main loop's MUL2, drops the doubling's carry, so it agrees
+with MUL2 whenever u < N/2, hence whenever either operand is below
+2**31 (a derived bound, not the standard's); FIX2's AND clears bit 31.
 """
 
 from .wordcore import MASK32, adder, add_block, mul_block, multiplier

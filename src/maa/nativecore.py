@@ -6,20 +6,15 @@ real use, and a differential oracle for the gate-level construction
 (and vice versa), on ints only.  Neither core imports the other: the
 input boundary is the package root's, which both import.
 
-Each end-around carry is one compare-and-subtract, not a % reduction:
-a remainder would agree almost everywhere but may pick the other
-representative of a degenerate residue.  A product's upper half is at
-most 2**32 - 2, so a folded sum holds one carry at most, and the doubled
-terms are even, so no result needs a final mask.  The published vectors
-pin MUL2's pick but not MUL1's; the tests pin both against closed forms
-(a remainder MUL1 passes the whole corpus).
+Each end-around carry is one compare-and-subtract, as maaops's case
+split allows, not a % reduction, which may pick the other encoding of a
+degenerate residue (a remainder MUL1 passes the whole corpus); the
+doubled terms are even, so no result needs a final mask.
 
 main_loop, coda and mac_values share one inlined main-loop body, _fold;
 loop_trace is a separate, instrumented copy.  BYT and PAT are table
 lookups on the eight key bytes.
 """
-
-from operator import attrgetter
 
 from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, check_key, segments
 
@@ -181,5 +176,5 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
 def native_mac(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
     """Block-typed front door, bit-identical to the gate-level stream."""
     from .wordcore import Block
-    values = map(attrgetter("value"), blocks)
-    return Block.from_int(mac_values(key.J.value, key.K.value, values, limit))
+    values = (b.value for b in blocks)
+    return Block(mac_values(key.J.value, key.K.value, values, limit))

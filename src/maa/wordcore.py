@@ -79,7 +79,7 @@ class Block:
 
     @classmethod
     def from_int(cls, v):
-        _check_words((v,), lambda _: f"block value out of range: {v}")
+        _check_words((v,))
         return cls(v)
 
     @classmethod

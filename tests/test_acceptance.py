@@ -123,7 +123,7 @@ def test_c08_full_selftest():
 
 
 @pytest.mark.criterion(9, "property suites within five minutes")
-def test_c09_property_suites():
+def test_c09_property_suites(monkeypatch):
     start = time.perf_counter()
 
     # exhaustive carry-completion adder at 8 bits, on the width-generic
@@ -153,6 +153,33 @@ def test_c09_property_suites():
     for a in range(256):
         for b in range(256):
             assert multiplier(a, b, 8) == a * b
+
+    # the gate folds themselves on every 8-bit pair: maaops.mul1, mul2
+    # and mul2a reach their word ops through maaops, so 8-bit gates bound
+    # there run the very fold code at width 8, against the closed forms
+    # (moduli 2**8 - 1 and 2**8 - 2) that the 32-bit tests pin
+    def mul_block8(a, b):
+        p = multiplier(a, b, 8)
+        return p >> 8, p & 0xFF
+
+    mul2a_pairs = 0
+    with monkeypatch.context() as m:
+        m.setattr(maaops, "mul_block", mul_block8)
+        m.setattr(maaops, "addc", lambda a, b: adder(a, b, 0, 8))
+        m.setattr(maaops, "add_block", lambda a, b: adder(a, b, 0, 8)[1])
+        assert maaops.mul1(0xFF, 0xFF) == 0xFF  # 0xFE01 folded at 8 bits
+        for a in range(256):
+            for b in range(256):
+                ab = a * b
+                mul1 = 0 if ab == 0 else (ab - 1) % 255 + 1
+                mul2 = ab if ab < 2 else (ab - 2) % 254 + 2
+                assert maaops.mul1(a, b) == mul1, (a, b)
+                assert maaops.mul2(a, b) == mul2, (a, b)
+                if ab >> 8 < 0x80:
+                    assert maaops.mul2a(a, b) == mul2, (a, b)
+                    mul2a_pairs += 1
+    assert mul2a_pairs == 55_618
+    assert maaops.mul1(0xFF, 0xFF) == 65_025  # 32-bit gates again
 
     # fold congruences on 100000 random pairs per multiplication
     rng = random.Random(0xACCE55)

@@ -9,6 +9,7 @@ from importlib import resources
 import pytest
 
 from maa import CORES, SEGMENT_BLOCKS, SUITES, kat, maacore, nativecore
+from maa.wordcore import add_block, mul_block
 
 
 def test_corpus_shape():
@@ -148,6 +149,28 @@ def test_a_gate_op_bound_on_maacore_reaches_every_record_kind(monkeypatch):
         maacore.prelude.cache_clear()
     ops = {r.op for r in kat.load_vectors() if (r.suite, r.name) in failed}
     assert {"MUL1", "PRELUDE_CHAIN", "LOOP_TRACE", "LONG_MAC"} <= ops
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("mul1", lambda a, b: add_block(*mul_block(a, b))),
+    ("mul2", maacore.mul2a),
+    ("byt", lambda a, b: (a, b)),
+    ("SEGMENT_BLOCKS", 255),
+    ("SEGMENT_BLOCKS", 257),
+], ids=["mul1-no-carry", "mul2-is-mul2a", "byt-identity", "segment-255",
+        "segment-257"])
+def test_gate_corpus_catches_one_line_mutants(monkeypatch, name, mutant):
+    # the corpus must not pass vacuously on the gate core either: each
+    # mutant, bound on maacore, has to fail at least one check.  The
+    # segment length is maacore's, at which the stream restarts; the
+    # root's only cuts the segments
+    monkeypatch.setattr(maacore, name, mutant)
+    maacore.prelude.cache_clear()
+    try:
+        assert kat.run_suite("ALL", "gate").failed > 0
+    finally:
+        monkeypatch.undo()
+        maacore.prelude.cache_clear()
 
 
 def test_core_records_hold_exactly_the_corpus_fields():

@@ -272,6 +272,32 @@ def test_mac_values_checks_a_segment_before_it_runs(monkeypatch, values,
     assert len(calls) == runs
 
 
+def test_mac_values_checks_each_word_once(monkeypatch):
+    # segments checks each segment as a whole and check_key the key; the
+    # stream then absorbs the checked words, with no push and no recheck
+    rng = random.Random(25)
+    values = [rng.getrandbits(32) for _ in range(600)]  # three segments
+    want = nativecore.mac_values(1, 2, values)
+    checks, pushes = [], []
+    real_check, real_push = maa._check_words, MacStream.push
+
+    def check(*args):
+        checks.append(args)
+        return real_check(*args)
+
+    def push(self, block):
+        pushes.append(block)
+        return real_push(self, block)
+
+    monkeypatch.setattr(maa, "_check_words", check)
+    monkeypatch.setattr(maacore, "_check_words", check)
+    monkeypatch.setattr(MacStream, "push", push)
+    prelude.cache_clear()  # so that check_key runs, as on a fresh key
+    assert maacore.mac_values(1, 2, values) == want
+    assert len(pushes) == 0
+    assert len(checks) == 4
+
+
 def test_push_rejects_blocks_that_are_not_blocks():
     # caught at the boundary, not as an AttributeError deep in the core
     key = Key.from_hex("80018001", "80018000")

@@ -62,9 +62,13 @@ def test_hex_round_trips():
     assert Block.from_int(0).hex() == "00000000"
     assert Block.from_int(2**32 - 1).hex() == "FFFFFFFF"
     assert repr(Block.from_int(5)) == "Block(00000005)"
+    # a non-word gets the text that the gate core's int entry gives
     for v in (-1, 2**32):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError) as want:
+            maacore.mac_values(1, 2, [v])
+        with pytest.raises(ValueError) as got:
             Block.from_int(v)
+        assert str(got.value) == str(want.value), v
     for v in (1.5, "5", None):
         with pytest.raises(ValueError, match=maa.NOT_AN_INT):
             Block.from_int(v)
