@@ -4,8 +4,10 @@ A 64-bit key (J, K) is expanded by the prelude into six words: starting
 values X0, Y0, V0, a per-block constant W, and two coda words S, T.  The
 last key's six are kept, as a message or a trace uses one key; code that
 rebinds a gate op at run time must call prelude.cache_clear().  The main
-loop consumes one message block per step, updating X, Y and a rotating V.
-The coda runs the main loop twice more, on S then T; the MAC is XOR(X, Y).
+loop consumes one message block per step, updating X, Y and a rotating V
+under the conditioning masks TRUE_MASKS, which it reads on each call, so
+one rebinding reaches every path.  The coda runs the main loop twice
+more, on S then T; the MAC is XOR(X, Y).
 
 The phases take and return words as wordcore's host ints.  Block is the
 type of the public names only: Key, message_blocks, MacStream (its
@@ -29,10 +31,7 @@ from functools import lru_cache
 from . import EmptyMessageError, MessageLimitError, SEGMENT_BLOCKS, check_key
 from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, _check_words, segments
 from .wordcore import Block, add_block
-from .maaops import (
-    FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
-    byt, cyc, mul1, mul2, mul2a, pat, q,
-)
+from .maaops import byt, cyc, mul1, mul2, mul2a, pat, q
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,9 @@ class Key:
         return cls(Block.from_hex(j), Block.from_hex(k))
 
 
-# (or1, and1, or2, and2): the OR/AND masks ahead of the two multiplications.
-# loop_trace takes substitutes, since the vector tables use small ones.
-TRUE_MASKS = (FIX1_OR_MASK, FIX1_AND_MASK, FIX2_OR_MASK, FIX2_AND_MASK)
+# (or1, and1, or2, and2): OR then AND ahead of MUL1 and MUL2A, so that no
+# multiplier operand collapses; the vector tables substitute small ones.
+TRUE_MASKS = (0x02040801, 0xBFEF7FDF, 0x00804021, 0x7DFEFBFF)
 
 
 def power_chain(j1, k1, p):
@@ -115,16 +114,16 @@ def prelude(j, k):
 
 def main_loop(x, y, v, w, block):
     """One iteration: the new registers (Xp, Yp, Vp) of loop_trace."""
-    tr = loop_trace(x, y, v, w, block)
+    tr = loop_trace(x, y, v, w, block, TRUE_MASKS)
     return tr["Xp"], tr["Yp"], tr["Vp"]
 
 
-def loop_trace(x, y, v, w, block, masks=TRUE_MASKS):
+def loop_trace(x, y, v, w, block, masks):
     """One main-loop iteration with every intermediate exposed.
 
     The main loop's arithmetic, decomposed to the granularity of the
-    published tables, with the conditioning masks (or1, and1, or2, and2)
-    substitutable.  The trailing Z is simply XOR(Xp, Yp).  Keyed as
+    published tables, under the given conditioning masks (or1, and1,
+    or2, and2).  The trailing Z is simply XOR(Xp, Yp).  Keyed as
     nativecore.loop_trace keys its result.
     """
     or1, and1, or2, and2 = masks

@@ -1,11 +1,11 @@
 """The MAA primitive operations (ISO 8731-2).
 
-Rotation, the two multiplier-conditioning masks, byte adjustment of
-key-derived values, carry-fold addition and the three modular
-multiplications, over wordcore's gate-level words (host ints here as
-there): CYC is wiring, PAT and BYT are per-byte OR and AND reductions,
-and every sum and product comes from wordcore's adder and multiplier.
-No + - * / // % ** touches a value here; a tier-1 test checks it.
+Rotation, byte adjustment of key-derived values, carry-fold addition
+and the three modular multiplications, over wordcore's gate-level words
+(host ints here as there): CYC is wiring, PAT and BYT are per-byte OR
+and AND reductions, and every sum and product comes from wordcore's
+adder and multiplier.  No + - * / // % ** touches a value here; a
+tier-1 test checks it.  The conditioning masks are maacore.TRUE_MASKS.
 
 MUL1 and MUL2 reduce the product ab = uN + l of two words (N = 2**32)
 modulo N - 1 and N - 2, folding the upper half u into the lower half l
@@ -26,13 +26,6 @@ with MUL2 whenever u < N/2, hence whenever either operand is below
 """
 
 from .wordcore import MASK32, adder, add_block, mul_block, multiplier
-
-# Conditioning masks: OR then AND, forcing some bits on and some off so the
-# multiplier operands can never collapse to degenerate values.
-FIX1_OR_MASK = 0x02040801
-FIX1_AND_MASK = 0xBFEF7FDF
-FIX2_OR_MASK = 0x00804021
-FIX2_AND_MASK = 0x7DFEFBFF
 
 # Bit 0 of each byte of a word pair, read as one 64-bit word
 _BYTE_LSBS = 0x0101010101010101

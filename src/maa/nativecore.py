@@ -11,19 +11,17 @@ split allows, not a % reduction, which may pick the other encoding of a
 degenerate residue (a remainder MUL1 passes the whole corpus); the
 doubled terms are even, so no result needs a final mask.
 
-main_loop, coda and mac_values share one inlined main-loop body, _fold;
-loop_trace is a separate, instrumented copy.  BYT and PAT are table
-lookups on the eight key bytes.
+main_loop, coda and mac_values share one inlined main-loop body, _fold,
+which reads the conditioning masks TRUE_MASKS on each call; loop_trace
+is a separate, instrumented copy under the masks it is given.  BYT and
+PAT are table lookups on the eight key bytes.
 """
 
 from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, check_key, segments
 
 MASK32 = 0xFFFFFFFF
-
-FIX1_OR = 0x02040801
-FIX1_AND = 0xBFEF7FDF
-FIX2_OR = 0x00804021
-FIX2_AND = 0x7DFEFBFF
+# the main loop's conditioning masks (or1, and1, or2, and2)
+TRUE_MASKS = (0x02040801, 0xBFEF7FDF, 0x00804021, 0x7DFEFBFF)
 
 
 # BYT adjusts only 0x00 and 0xFF bytes: PAT digit "1"
@@ -113,7 +111,7 @@ def prelude(j, k):
 
 def _fold(x, y, v, w, blocks):
     """Main-loop iterations over blocks; returns (x, y, v)."""
-    or1, and1, or2, and2 = FIX1_OR, FIX1_AND, FIX2_OR, FIX2_AND
+    or1, and1, or2, and2 = TRUE_MASKS
     for m in blocks:
         v = (v << 1 | v >> 31) & MASK32
         e = v ^ w
@@ -135,7 +133,7 @@ def main_loop(x, y, v, w, block):
     return _fold(x, y, v, w, (block,))
 
 
-def loop_trace(x, y, v, w, block, masks=(FIX1_OR, FIX1_AND, FIX2_OR, FIX2_AND)):
+def loop_trace(x, y, v, w, block, masks):
     """Instrumented iteration; masks is (or1, and1, or2, and2)."""
     or1, and1, or2, and2 = masks
     vp = (v << 1 | v >> 31) & MASK32
@@ -172,7 +170,7 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
     return z
 
 
-# kept only because perfbench/run.py times it (ROADMAP.md, item 2)
+# kept only because perfbench/run.py times it (ROADMAP.md, item 1b)
 def native_mac(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
     """Block-typed front door, bit-identical to the gate-level stream."""
     from .wordcore import Block

@@ -157,13 +157,18 @@ def test_a_gate_op_bound_on_maacore_reaches_every_record_kind(monkeypatch):
     ("byt", lambda a, b: (a, b)),
     ("SEGMENT_BLOCKS", 255),
     ("SEGMENT_BLOCKS", 257),
+    # each conditioning mask made neutral: an OR by 0, an AND by all ones
+    *[("TRUE_MASKS", maacore.TRUE_MASKS[:i] + (i % 2 * 0xFFFFFFFF,)
+       + maacore.TRUE_MASKS[i + 1:]) for i in range(4)],
 ], ids=["mul1-no-carry", "mul2-is-mul2a", "byt-identity", "segment-255",
-        "segment-257"])
+        "segment-257", "no-fix1-or", "no-fix1-and", "no-fix2-or",
+        "no-fix2-and"])
 def test_gate_corpus_catches_one_line_mutants(monkeypatch, name, mutant):
     # the corpus must not pass vacuously on the gate core either: each
     # mutant, bound on maacore, has to fail at least one check.  The
     # segment length is maacore's, at which the stream restarts; the
-    # root's only cuts the segments
+    # root's only cuts the segments.  main_loop reads TRUE_MASKS on each
+    # call, so a mask mutant reaches every gate path
     monkeypatch.setattr(maacore, name, mutant)
     maacore.prelude.cache_clear()
     try:
@@ -189,7 +194,7 @@ def test_core_records_hold_exactly_the_corpus_fields():
     for core in (maacore, nativecore):
         chain = core.power_chain(j1, k1, p)
         assert {k.lower() for k in chain} == checked["PRELUDE_CHAIN"]
-        trace = core.loop_trace(*regs)
+        trace = core.loop_trace(*regs, core.TRUE_MASKS)
         assert {k.lower() for k in trace} == checked["LOOP_TRACE"]
 
 

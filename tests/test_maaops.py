@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maa import CORES, kat, nativecore
-from maa.maacore import loop_trace
-from maa.maaops import (
-    FIX1_AND_MASK, FIX1_OR_MASK, FIX2_AND_MASK, FIX2_OR_MASK,
-    addc, byt, cyc, mul1, mul2, mul2a, pat, q,
-)
+from maa.maacore import TRUE_MASKS, loop_trace
+from maa.maaops import addc, byt, cyc, mul1, mul2, mul2a, pat, q
 from maa.wordcore import mul_block
 
 words = st.integers(0, 0xFFFFFFFF)
@@ -80,12 +77,13 @@ def test_cyc_order_thirty_two():
 @settings(deadline=None)
 def test_fix_masks(x, y, v, w, m):
     # the main loop's conditioning, read off loop_trace under the true masks
-    tr = loop_trace(x, y, v, w, m)
+    or1, and1, or2, and2 = TRUE_MASKS
+    tr = loop_trace(x, y, v, w, m, TRUE_MASKS)
     f, g, fpp, gpp = tr["F"], tr["G"], tr["Fpp"], tr["Gpp"]
-    assert fpp == (f | FIX1_OR_MASK) & FIX1_AND_MASK
-    assert gpp == (g | FIX2_OR_MASK) & FIX2_AND_MASK
-    assert (fpp | FIX1_OR_MASK) & FIX1_AND_MASK == fpp
-    assert (gpp | FIX2_OR_MASK) & FIX2_AND_MASK == gpp
+    assert fpp == (f | or1) & and1
+    assert gpp == (g | or2) & and2
+    assert (fpp | or1) & and1 == fpp
+    assert (gpp | or2) & and2 == gpp
     # the second conditioning always clears the top bit, so MUL2A is safe
     assert gpp < 0x80000000
 
@@ -235,13 +233,11 @@ def test_degenerate_block_end_to_end():
     # key 00FF00FF/00000000 and the one block X0 ^ FFFFFFFF, so that the
     # loop's X is FFFFFFFF, a multiple of M1: MUL1's pick reaches the MAC
     j, k = 0x00FF00FF, 0x00000000
-    masks = (nativecore.FIX1_OR, nativecore.FIX1_AND,
-             nativecore.FIX2_OR, nativecore.FIX2_AND)
     macs = set()
     for ops in map(kat.core_module, CORES):
         x0, y0, v0, w, _, _ = ops.prelude(j, k)
         block = x0 ^ M1
-        tr = ops.loop_trace(x0, y0, v0, w, block, masks)
+        tr = ops.loop_trace(x0, y0, v0, w, block, ops.TRUE_MASKS)
         assert tr["X"] == M1
         assert tr["Xp"] == closed_mul1(tr["X"], tr["Fpp"]) == M1
         macs.add(ops.mac_values(j, k, [block]))
@@ -253,13 +249,14 @@ def test_mul2a_fold_edge_in_the_main_loop():
     # (M = 0, W = CYC(V)): the fold sum 2u + l is then exactly M1, the
     # last value that MUL2A keeps without subtracting M2
     rng = random.Random(0x2A)
+    _, _, or2, and2 = TRUE_MASKS
     for _ in range(20):
-        g = (rng.getrandbits(32) | FIX2_OR_MASK) & FIX2_AND_MASK
+        g = (rng.getrandbits(32) | or2) & and2
         y = pow(g, -1, M2)
         upper, lower = divmod(g * y, 2**32)
         assert 2 * upper + lower == M1 and upper < 2**31
         v = rng.getrandbits(32)
         w = (v << 1 | v >> 31) & M1
         for ops in map(kat.core_module, CORES):
-            assert ops.loop_trace(g, y, v, w, 0)["Gpp"] == g
+            assert ops.loop_trace(g, y, v, w, 0, ops.TRUE_MASKS)["Gpp"] == g
             assert ops.main_loop(g, y, v, w, 0)[1] == closed_mul2(y, g) == M1

@@ -119,7 +119,7 @@ def _traced_mac(j, k, values):
         head = [] if z is None else [z]
         x, y, v = x0, y0, v0
         for m in head + values[i:i + SEGMENT_BLOCKS] + [s, t]:
-            regs = nativecore.loop_trace(x, y, v, w, m)
+            regs = nativecore.loop_trace(x, y, v, w, m, nativecore.TRUE_MASKS)
             x, y, v = regs["Xp"], regs["Yp"], regs["Vp"]
         z = x ^ y
     return z
@@ -298,10 +298,9 @@ def _mul1_without_end_around_carry(a, b):
     ("SEGMENT_BLOCKS", 255),
     ("SEGMENT_BLOCKS", 257),
     ("byt", lambda a, b: (a, b)),
-    ("FIX1_OR", 0),
-    ("FIX1_AND", nativecore.MASK32),
-    ("FIX2_OR", 0),
-    ("FIX2_AND", nativecore.MASK32),
+    # each conditioning mask made neutral: an OR by 0, an AND by all ones
+    *[("TRUE_MASKS", nativecore.TRUE_MASKS[:i] + (i % 2 * nativecore.MASK32,)
+       + nativecore.TRUE_MASKS[i + 1:]) for i in range(4)],
 ], ids=["mul1-no-carry", "mul2-is-mul2a", "segment-255", "segment-257",
         "byt-identity", "no-fix1-or", "no-fix1-and", "no-fix2-or",
         "no-fix2-and"])
