@@ -70,12 +70,12 @@ def check_key(j, k):
 
 
 def words(chunks):
-    """Big-endian 32-bit words of a byte stream given as chunks of any
-    size.  Up to three bytes carry over into the next chunk, and a short
-    tail is zero-padded on the right, as message_blocks pads."""
+    """Big-endian 32-bit words of any bytes-like chunks of any size, each
+    read by its bytes.  Up to three bytes carry over into the next chunk,
+    and a short tail is zero-padded on the right, as message_blocks pads."""
     carry = b""
     for chunk in chunks:
-        view = memoryview(carry + chunk if carry else chunk)
+        view = memoryview(carry + chunk if carry else chunk).cast("B")
         cut = len(view) - len(view) % 4
         yield from (w for (w,) in struct.iter_unpack(">I", view[:cut]))
         carry = bytes(view[cut:])

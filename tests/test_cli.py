@@ -475,11 +475,12 @@ def test_closed_pipe_ends_quietly_with_sigpipe_status(child_env):
     # a reader that stops early (`maa trace ... | head -1`) is not an error
     # worth a traceback, nor a success: the status is 128 + SIGPIPE
     path = os.path.join(os.path.dirname(maacore.__file__), "vectors.txt")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "maa.cli", "trace", "--key", KEY,
-         "--input", path],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env)
-    assert proc.stdout.readline().startswith(b"key ")
-    proc.stdout.close()
-    assert proc.stderr.read() == b""
-    assert proc.wait(timeout=60) == 141
+    with subprocess.Popen(
+            [sys.executable, "-m", "maa.cli", "trace", "--key", KEY,
+             "--input", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env) as proc:
+        assert proc.stdout.readline().startswith(b"key ")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141

@@ -210,19 +210,6 @@ def test_gen_message():
     assert kat.gen_message(0, 1, 0) == []
 
 
-@pytest.mark.parametrize("suite", kat.SUITES)
-def test_suites_pass_on_the_native_core(suite):
-    report = kat.run_suite(suite, "native")
-    assert report.checks
-    assert report.failed == 0, report.failures()[:5]
-
-
-def test_t1_passes_on_the_gate_core():
-    report = kat.run_suite("T1", "gate")
-    assert report.failed == 0
-    assert report.passed == 54
-
-
 def test_both_cores_doubles_the_checks():
     one = kat.run_suite("T2", "native")
     both = kat.run_suite("T2", "both")

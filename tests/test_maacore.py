@@ -30,20 +30,6 @@ def _random_blocks(rng, n):
     return [Block.from_int(rng.getrandbits(32)) for _ in range(n)]
 
 
-def test_power_chain_small_key():
-    im = power_chain(W("00000100"), W("00000080"), 1)
-    assert im["J12"] == W("00010000") and im["J14"] == W("00000001")
-    assert im["J28"] == W("00000004") and im["K29"] == W("00000002")
-    assert im["H4"] == W("00000003") and im["H0"] == W("00000018")
-    assert im["H5"] == W("00000060") and im["H9"] == W("80000002")
-
-
-def test_prelude_realistic_key():
-    assert prelude(W("E6A12F07"), W("9D15C437")) == (
-        W("21D869BA"), W("7792F9D4"), W("C4EB1AEB"),
-        W("F6A09667"), W("6D67E884"), W("A511987A"))
-
-
 def test_prelude_degenerate_key():
     j, k = W("00FF00FF"), W("00000000")
     pre = prelude(j, k)
@@ -79,32 +65,6 @@ def test_prelude_keeps_one_key_and_survives_alternating_keys():
     assert prelude.cache_info()[:2] == (1, 1)    # hits, misses
     prelude.cache_clear()
     assert prelude.cache_info().currsize == 0
-
-
-def test_loop_trace_with_substitute_masks():
-    masks = (W("00000004"), W("FFFFFFF7"), W("00000001"), W("FFFFFFFB"))
-    tr = loop_trace(W("00000002"), W("00000003"), W("00000003"),
-                    W("00000003"), W("00000005"), masks)
-    assert tr["Vp"] == W("00000006") and tr["E"] == W("00000005")
-    assert tr["F"] == W("0000000B") and tr["Gpp"] == W("00000009")
-    assert tr["Xp"] == W("00000031") and tr["Yp"] == W("00000036")
-    assert tr["Z"] == W("00000007")
-
-
-def test_three_block_trace_chains():
-    # X', Y', V' of each iteration feed the next one
-    masks = (W("00000002"), W("FFFFFFFB"), W("00000001"), W("FFFFFFFB"))
-    x, y, v, w = W("00000001"), W("00000002"), W("00000001"), W("00000001")
-    finals = []
-    for m in ("00000000", "00000001", "00000002"):
-        tr = loop_trace(x, y, v, w, W(m), masks)
-        finals.append(tuple(f"{tr[r]:08X}" for r in ("Xp", "Yp", "Z")))
-        x, y, v = tr["Xp"], tr["Yp"], tr["Vp"]
-    assert finals == [
-        ("00000003", "00000002", "00000001"),
-        ("00000014", "00000009", "0000001D"),
-        ("0000018C", "00000129", "000000A5"),
-    ]
 
 
 @given(words, words, words, words, words)
