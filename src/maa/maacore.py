@@ -7,18 +7,18 @@ rebinds a gate op at run time must call prelude.cache_clear().  The main
 loop consumes one message block per step, updating X, Y and a rotating V
 under the conditioning masks TRUE_MASKS, which it reads on each call, so
 one rebinding reaches every path.  The coda runs the main loop twice
-more, on S then T; the MAC is XOR(X, Y).
+more, on S then T; the MAC is XOR(X, Y).  main_loop returns only the new
+registers; loop_trace is its instrumented copy, which returns every
+intermediate, as nativecore's _fold and loop_trace are.
 
 The phases take and return words as wordcore's host ints.  Block is the
 type of the public names only: Key, message_blocks, MacStream (its
 prelude, push() and mac()), mac_blocks and mac_message.  mac_values is
 the gate core's int entry, with nativecore.mac_values's signature and
 refusals, so the corpus runner runs this module as it runs nativecore.
-
-Messages longer than 256 blocks are processed in segments: the MAC of
-each segment is fed as the leading block of the next one, restarting the
-registers from their prelude values, and the last segment's result is
-the overall MAC.  MacStream reproduces this cycle by cycle.
+It and mac_message feed MacStream's int step whole segments that the
+root's segments has checked, with no Block and no push; MacStream
+restarts the registers at every segment, cycle by cycle.
 
 The input boundary and the errors of a refused message are the package
 root's, shared with nativecore; this core imports nothing of the other.
@@ -30,6 +30,7 @@ from functools import lru_cache
 
 from . import EmptyMessageError, MessageLimitError, SEGMENT_BLOCKS, check_key
 from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, _check_words, segments
+from . import words
 from .wordcore import Block, add_block
 from .maaops import byt, cyc, mul1, mul2, mul2a, pat, q
 
@@ -113,9 +114,13 @@ def prelude(j, k):
 
 
 def main_loop(x, y, v, w, block):
-    """One iteration: the new registers (Xp, Yp, Vp) of loop_trace."""
-    tr = loop_trace(x, y, v, w, block, TRUE_MASKS)
-    return tr["Xp"], tr["Yp"], tr["Vp"]
+    """One iteration: loop_trace's Xp, Yp, Vp under TRUE_MASKS, unrecorded."""
+    or1, and1, or2, and2 = TRUE_MASKS
+    vp = cyc(v)
+    e = vp ^ w
+    xm, ym = x ^ block, y ^ block
+    return (mul1(xm, (add_block(e, ym) | or1) & and1),
+            mul2a(ym, (add_block(e, xm) | or2) & and2), vp)
 
 
 def loop_trace(x, y, v, w, block, masks):
@@ -176,21 +181,27 @@ class MacStream:
         self.total_blocks = 0
 
     def push(self, block):
+        self._absorb((self._word(block),))
+        return tuple(map(Block, self._regs))
+
+    def _word(self, block):
         if not isinstance(block, Block):
             raise TypeError(f"expected a Block, got {type(block).__name__}")
         if self.total_blocks >= self.limit:
             raise MessageLimitError(self.limit)
         _check_words((block.value,))
-        self._step(block.value)
-        return tuple(map(Block, self._regs))
+        return block.value
 
-    def _step(self, value):
-        """Absorb one word that the caller has checked, as ints."""
+    def _absorb(self, values):
+        """Absorb checked ints; a segment's coda waits for the next block."""
         x0, y0, v0, w, s, t = self._pre
-        if self.total_blocks and self.total_blocks % SEGMENT_BLOCKS == 0:
-            self._regs = main_loop(x0, y0, v0, w, coda(*self._regs, w, s, t))
-        self._regs = main_loop(*self._regs, w, value)
-        self.total_blocks += 1
+        (x, y, v), n = self._regs, self.total_blocks
+        for value in values:
+            if n and n % SEGMENT_BLOCKS == 0:
+                x, y, v = main_loop(x0, y0, v0, w, coda(x, y, v, w, s, t))
+            x, y, v = main_loop(x, y, v, w, value)
+            n += 1
+        self._regs, self.total_blocks = (x, y, v), n
 
     def mac(self):
         """MAC of all blocks pushed so far."""
@@ -201,10 +212,10 @@ class MacStream:
 
 
 def mac_blocks(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
-    """MAC of a block sequence."""
+    """MAC of a block sequence, each Block checked as push checks it."""
     stream = MacStream(key, limit)
     for b in blocks:
-        stream.push(b)
+        stream._absorb((stream._word(b),))
     return stream.mac()
 
 
@@ -212,22 +223,28 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
     """The gate core's int entry; segments checks each word, once."""
     stream = MacStream(Key(Block(j), Block(k)), limit)
     for seg in segments(values, limit):
-        for v in seg:
-            stream._step(v)
+        stream._absorb(seg)
     return stream.mac().value
 
 
 def message_blocks(payload):
-    """Split bytes into blocks: zero-pad to a multiple of 4, group
-    big-endian."""
-    if not payload:
+    """Split a bytes-like payload, read by its bytes, into blocks:
+    zero-pad to a multiple of 4, group big-endian."""
+    size = memoryview(payload).nbytes
+    if not size:
         raise EmptyMessageError()
-    padded = bytes(payload) + b"\x00" * (-len(payload) % 4)
+    padded = bytes(payload) + b"\x00" * (-size % 4)
     return [Block(v) for (v,) in struct.iter_unpack(">I", padded)]
 
 
 def mac_message(key, payload, limit=MESSAGE_BLOCK_LIMIT):
-    """MAC of a byte string; one over the limit fails before any work."""
-    if 0 < limit < (len(payload) + 3) // 4:
+    """MAC of a bytes-like payload; one over the limit fails before work."""
+    size = memoryview(payload).nbytes
+    if 0 < limit < (size + 3) // 4:
         raise MessageLimitError(limit)
-    return mac_blocks(key, message_blocks(payload), limit)
+    if not size:
+        raise EmptyMessageError()
+    stream = MacStream(key, limit)
+    for seg in segments(words((payload,)), limit):
+        stream._absorb(seg)
+    return stream.mac()

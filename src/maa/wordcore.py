@@ -69,8 +69,8 @@ class Block:
     """A 32-bit word, the MAA's unit at the public API: message blocks, key
     halves, the registers a stream reports and the result.  Its bits are
     the host int in the `value` slot, most significant first.  Block(v)
-    holds v unchecked; from_int, and MacStream.push on every block it is
-    given, refuse a non-word through the package root's check."""
+    holds v unchecked; from_int, and MacStream.push and mac_blocks on each
+    block given, refuse a non-word through the package root's check."""
 
     __slots__ = ("value",)
 

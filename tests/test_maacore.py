@@ -1,6 +1,8 @@
 """Prelude, main loop, segmentation, and the streaming front end."""
 
 import random
+from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,16 @@ def test_message_blocks_pads_with_zero_bytes():
         message_blocks(b"")
 
 
+def test_message_blocks_reads_a_buffer_by_its_bytes():
+    # as maa.words reads it: a buffer of 2- or 4-byte items is split by
+    # its bytes, not by its count of items, and MACs as those bytes do
+    key = Key.from_hex("80018001", "80018000")
+    for payload in (array("I", [1, 2]), array("H", [1, 2, 3])):
+        assert message_blocks(payload) == \
+            [Block(w) for w in maa.words([payload])]
+        assert mac_message(key, payload) == mac_message(key, bytes(payload))
+
+
 def test_mac_message_is_mac_of_padded_blocks():
     key = Key.from_hex("80018001", "80018000")
     payload = bytes(range(1, 11))
@@ -202,6 +214,10 @@ def test_mac_message_refuses_an_over_limit_payload_before_any_work(
     with pytest.raises(MessageLimitError):
         mac_message(key, bytes(4 * limit + 1), limit=limit)
     assert calls == []
+    # a buffer is judged by its bytes: 300 four-byte items are 300 blocks
+    with pytest.raises(MessageLimitError):
+        mac_message(key, array("I", [0] * 300), limit=SEGMENT_BLOCKS)
+    assert calls == []
     # the limit and the empty payload are judged as before
     with pytest.raises(ValueError, match="at least 1"):
         mac_message(key, bytes(8), limit=0)
@@ -234,28 +250,35 @@ def test_mac_values_checks_a_segment_before_it_runs(monkeypatch, values,
 
 def test_mac_values_checks_each_word_once(monkeypatch):
     # segments checks each segment as a whole and check_key the key; the
-    # stream then absorbs the checked words, with no push and no recheck
+    # stream then absorbs the checked words, with no push and no recheck.
+    # mac_message reads its bytes through the same segments, with no
+    # message_blocks, and runs each segment's coda once, when the next
+    # segment starts or the MAC is read
     rng = random.Random(25)
-    values = [rng.getrandbits(32) for _ in range(600)]  # three segments
+    payload = rng.randbytes(2400)  # 600 words, three segments
+    values = list(maa.words([payload]))
     want = nativecore.mac_values(1, 2, values)
-    checks, pushes = [], []
-    real_check, real_push = maa._check_words, MacStream.push
+    counts = Counter()
 
-    def check(*args):
-        checks.append(args)
-        return real_check(*args)
+    def counted(name, real):
+        def run(*args):
+            counts[name] += 1
+            return real(*args)
+        return run
 
-    def push(self, block):
-        pushes.append(block)
-        return real_push(self, block)
-
-    monkeypatch.setattr(maa, "_check_words", check)
-    monkeypatch.setattr(maacore, "_check_words", check)
-    monkeypatch.setattr(MacStream, "push", push)
-    prelude.cache_clear()  # so that check_key runs, as on a fresh key
-    assert maacore.mac_values(1, 2, values) == want
-    assert len(pushes) == 0
-    assert len(checks) == 4
+    for owner, name in ((maa, "_check_words"), (maacore, "_check_words"),
+                        (maacore, "main_loop"), (maacore, "message_blocks"),
+                        (MacStream, "push")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    # 600 steps, a restart and two coda steps at each of two segment
+    # starts, and the final coda's two
+    once = {"_check_words": 4, "main_loop": 608}
+    for run in (lambda: maacore.mac_values(1, 2, values),
+                lambda: mac_message(Key(Block(1), Block(2)), payload).value):
+        counts.clear()
+        prelude.cache_clear()  # so that check_key runs, as on a fresh key
+        assert run() == want
+        assert counts == once
 
 
 def test_push_rejects_blocks_that_are_not_blocks():
