@@ -8,14 +8,15 @@ against each other.
 
 This module holds what the two cores share: the message limits, the
 errors of a refused message, the suite and core names, and the input
-boundary (words, segments and check_key), through which both cores and
-the gate core's Block face refuse a message alike.  A key half or block
-value must be an int (bool is one, so True is the word 1) from 0 to
-2**32-1, else a ValueError refuses it before either core sees it.  Every
-other public name is imported from its module on first use (PEP 562).
+boundary (words, the package's one reader of bytes, segments and
+check_key), through which both cores and the gate core's Block face
+refuse a message alike.  A key half or block value must be an int (bool
+is one, so True is the word 1) from 0 to 2**32-1, else a ValueError
+refuses it before either core sees it.  Every other public name is
+imported from its module on first use (PEP 562).
 """
 
-import struct
+import sys
 from array import array
 from itertools import islice
 
@@ -27,6 +28,10 @@ MESSAGE_BLOCK_LIMIT = 1_000_000
 LIMIT_BELOW_ONE = "block limit must be at least 1"
 
 SEGMENT_BLOCKS = 256
+
+# words holds at most this many bytes of words beyond its chunk, so a
+# caller that keeps every word (message_blocks) keeps no second payload
+_RUN_BYTES = 64 << 10
 
 NOT_AN_INT = "key halves and block values must be ints"
 assert array("I").itemsize == 4, "array('I') must hold 32-bit words"
@@ -71,14 +76,25 @@ def check_key(j, k):
 
 def words(chunks):
     """Big-endian 32-bit words of any bytes-like chunks of any size, each
-    read by its bytes.  Up to three bytes carry over into the next chunk,
-    and a short tail is zero-padded on the right, as message_blocks pads."""
+    read by its bytes (one that is not C-contiguous is copied first), a
+    run of up to _RUN_BYTES at a time through one array("I"), byteswapped
+    on a little-endian host.  Up to three bytes carry over into the next
+    chunk, and a short tail is zero-padded on the right."""
     carry = b""
     for chunk in chunks:
-        view = memoryview(carry + chunk if carry else chunk).cast("B")
+        view = memoryview(chunk)
+        if carry or not view.c_contiguous:
+            view = memoryview(carry + view.tobytes())
+        view = view.cast("B")
         cut = len(view) - len(view) % 4
-        yield from (w for (w,) in struct.iter_unpack(">I", view[:cut]))
-        carry = bytes(view[cut:])
+        i = 0
+        while i < cut:
+            run = array("I", view[i:min(i + _RUN_BYTES, cut)].tobytes())
+            if sys.byteorder == "little":
+                run.byteswap()
+            yield from run
+            i += _RUN_BYTES
+        carry = view[cut:].tobytes()
     if carry:
         yield int.from_bytes(carry.ljust(4, b"\0"), "big")
 

@@ -18,13 +18,14 @@ the gate core's int entry, with nativecore.mac_values's signature and
 refusals, so the corpus runner runs this module as it runs nativecore.
 It and mac_message feed MacStream's int step whole segments that the
 root's segments has checked, with no Block and no push; MacStream
-restarts the registers at every segment, cycle by cycle.
+restarts the registers at every segment, cycle by cycle.  Bytes become
+words only in the root's words: mac_message reads its payload there,
+and message_blocks is its Block face.
 
 The input boundary and the errors of a refused message are the package
 root's, shared with nativecore; this core imports nothing of the other.
 """
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -228,13 +229,12 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
 
 
 def message_blocks(payload):
-    """Split a bytes-like payload, read by its bytes, into blocks:
-    zero-pad to a multiple of 4, group big-endian."""
-    size = memoryview(payload).nbytes
-    if not size:
+    """A bytes-like payload's words, as the root's words reads them, each
+    in a Block; an empty payload raises EmptyMessageError."""
+    blocks = list(map(Block, words((payload,))))
+    if not blocks:
         raise EmptyMessageError()
-    padded = bytes(payload) + b"\x00" * (-size % 4)
-    return [Block(v) for (v,) in struct.iter_unpack(">I", padded)]
+    return blocks
 
 
 def mac_message(key, payload, limit=MESSAGE_BLOCK_LIMIT):

@@ -59,17 +59,3 @@ def test_both_cores_share_the_boundary():
         assert getattr(maa, name) is getattr(maacore, name) \
             is getattr(nativecore, name), name
     assert not hasattr(nativecore, "words")
-    # so one except clause catches either core's refusal
-    key = maacore.Key.from_hex("00000001", "00000002")
-    refusals = {
-        maa.EmptyMessageError: (lambda: nativecore.mac_values(1, 2, []),
-                                lambda: maacore.mac_blocks(key, [])),
-        maa.MessageLimitError: (
-            lambda: nativecore.mac_values(1, 2, [0, 0], limit=1),
-            lambda: maacore.mac_blocks(key, [wordcore.Block.from_int(0)] * 2,
-                                       limit=1)),
-    }
-    for error, calls in refusals.items():
-        for call in calls:
-            with pytest.raises(error):
-                call()

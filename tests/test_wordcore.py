@@ -214,10 +214,11 @@ def test_gate_modules_use_no_host_arithmetic(module):
     assert _host_arithmetic(tree) == []
 
 
-# maacore's phases; MacStream, message_blocks and mac_message keep their
-# block counters and padding outside the rule
+# maacore's phases, and message_blocks, which leaves the padding to the
+# root's words; MacStream and mac_message keep their block counters and
+# byte counts outside the rule
 GATE_PHASES = ("power_chain", "prelude", "main_loop", "loop_trace", "coda",
-               "mac_values")
+               "mac_values", "message_blocks")
 
 
 def test_gate_phases_use_no_host_arithmetic():
