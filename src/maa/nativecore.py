@@ -12,10 +12,16 @@ degenerate residue (a remainder MUL1 passes the whole corpus); the
 doubled terms are even, so no result needs a final mask.
 
 main_loop, coda and mac_values share one inlined main-loop body, _fold,
-which reads the conditioning masks TRUE_MASKS on each call; loop_trace
-is a separate, instrumented copy under the masks it is given.  BYT and
-PAT are table lookups on the eight key bytes.
+which reads the conditioning masks TRUE_MASKS on each call and runs
+each block under its E word (V rotated, XOR W) from the words it is
+given.  V restarts at V0 in each segment and repeats every 32 blocks, so
+mac_values builds the key's E words once, at most 32, and folds each
+segment over them, cycling past 32 blocks, with S and T as its last two
+blocks (the coda).  loop_trace is a separate, instrumented copy under the masks it
+is given.  BYT and PAT are table lookups on the eight key bytes.
 """
+
+from itertools import cycle
 
 from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, check_key, segments
 
@@ -59,7 +65,7 @@ def mul2(a, b):
 
 def mul2a(a, b):
     p = a * b
-    f = (p >> 32 << 1 & 0xFFFFFFFF) + (p & 0xFFFFFFFF)
+    f = (p >> 31 & 0xFFFFFFFE) + (p & 0xFFFFFFFF)
     return f - 0xFFFFFFFE if f > 0xFFFFFFFF else f
 
 
@@ -109,28 +115,42 @@ def prelude(j, k):
     return x0, y0, v0, w, s, t
 
 
-def _fold(x, y, v, w, blocks):
-    """Main-loop iterations over blocks; returns (x, y, v)."""
+# the right shifts of V << 32 | V that read V rotated left by 1, ..., 32
+_SHIFTS = range(31, -1, -1)
+
+
+def _e_words(v, w, n):
+    """The E words of the next n blocks after V = v, at most 32, each with
+    the bits of V << 32 | V above its 32-bit window left in, which _fold's
+    masks drop."""
+    vv = v << 32 | v
+    return [vv >> r ^ w for r in _SHIFTS[:n]]
+
+
+def _fold(x, y, es, blocks):
+    """Main-loop iterations over blocks, each under the next E word of es;
+    returns (x, y)."""
     or1, and1, or2, and2 = TRUE_MASKS
-    for m in blocks:
-        v = (v << 1 | v >> 31) & MASK32
-        e = v ^ w
+    for m, e in zip(blocks, es):
         xm = x ^ m
         ym = y ^ m
-        # MUL1(xm, FIX1(ym + e)); and1 < 2**32 also masks the sum, and one
-        # compare-and-subtract of 2**32 - 1 takes the end-around carry
+        # MUL1(xm, FIX1(ym + e)); and1 < 2**32 also masks the sum, which
+        # drops any bits of e past the word, and one compare-and-subtract
+        # of 2**32 - 1 takes the end-around carry
         p = xm * ((ym + e | or1) & and1)
         s = (p >> 32) + (p & 0xFFFFFFFF)
         x = s - 0xFFFFFFFF if s > 0xFFFFFFFF else s
-        # MUL2A(ym, FIX2(xm + e)); the doubled carry, by 2**32 - 2
+        # MUL2A(ym, FIX2(xm + e)), masked by and2 < 2**32 alike; the
+        # doubled carry, by 2**32 - 2
         p = ym * ((xm + e | or2) & and2)
-        f = (p >> 32 << 1 & 0xFFFFFFFF) + (p & 0xFFFFFFFF)
+        f = (p >> 31 & 0xFFFFFFFE) + (p & 0xFFFFFFFF)
         y = f - 0xFFFFFFFE if f > 0xFFFFFFFF else f
-    return x, y, v
+    return x, y
 
 
 def main_loop(x, y, v, w, block):
-    return _fold(x, y, v, w, (block,))
+    v = (v << 1 | v >> 31) & MASK32
+    return (*_fold(x, y, (v ^ w,), (block,)), v)
 
 
 def loop_trace(x, y, v, w, block, masks):
@@ -152,7 +172,7 @@ def loop_trace(x, y, v, w, block, masks):
 
 
 def coda(x, y, v, w, s, t):
-    x, y, _ = _fold(x, y, v, w, (s, t))
+    x, y = _fold(x, y, _e_words(v, w, 2), (s, t))
     return x ^ y
 
 
@@ -161,12 +181,16 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
     if limit < 1:
         raise ValueError(LIMIT_BELOW_ONE)
     x0, y0, v0, w, s, t = prelude(j, k)
-    z = None
+    z = es = None
     for seg in segments(values, limit):
         if z is not None:
             seg.insert(0, z)
-        x, y, v = _fold(x0, y0, v0, w, seg)
-        z = coda(x, y, v, w, s, t)
+        seg += (s, t)  # the coda: two more blocks of the same fold
+        # every segment restarts V at V0; a cycle's first pass costs more
+        # than a short segment's fold saves, so one that fits takes es
+        es = es or _e_words(v0, w, len(seg))
+        x, y = _fold(x0, y0, es if len(seg) <= len(es) else cycle(es), seg)
+        z = x ^ y
     return z
 
 

@@ -44,6 +44,12 @@ def test_main_loop_matches_gate(x, y, v, w, m):
     assert got == want
 
 
+@given(words, words, words, words, words, words)
+@settings(max_examples=40, deadline=None)
+def test_coda_matches_gate(x, y, v, w, s, t):
+    assert nativecore.coda(x, y, v, w, s, t) == maacore.coda(x, y, v, w, s, t)
+
+
 @given(words, words)
 @settings(max_examples=15, deadline=None)
 def test_prelude_matches_gate(j, k):
@@ -61,6 +67,22 @@ def test_mac_matches_gate_across_a_boundary():
     assert nativecore.mac_values(j, k, values) == want.value
     assert nativecore.native_mac(key, [Block.from_int(v) for v in values]) \
         == want
+
+
+# lengths in blocks where mac_values' E words wrap round: V repeats every
+# 32 blocks, the coda adds two, and a second segment adds the MAC of the
+# first
+WRAP_LENGTHS = [1, 2, *range(29, 35), *range(62, 67), *range(254, 259),
+                *range(286, 291), *range(511, 514)]
+
+
+def test_mac_values_matches_gate_where_the_e_words_wrap():
+    rng = random.Random(30)
+    for n in WRAP_LENGTHS:
+        j, k = rng.getrandbits(32), rng.getrandbits(32)
+        values = [rng.getrandbits(32) for _ in range(n)]
+        assert nativecore.mac_values(j, k, values) == \
+            maacore.mac_values(j, k, values), n
 
 
 @pytest.mark.parametrize("j, k, mac", [

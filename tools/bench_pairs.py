@@ -18,8 +18,9 @@ The JSON written to --out holds the Python version, `nproc`, this
 command, every run, and for each workload and end-to-end metric: both
 medians, the change's relative move, how many pairs the change won, the
 parent's quartiles, whether the gap between the medians exceeds the
-parent's interquartile range, and whether the change stays within the
-metric's bound.  The exit code is 1 when any run failed.
+parent's interquartile range (both null for a workload of one pair),
+and whether the change stays within the metric's bound.  The exit code
+is 1 when any run failed.
 """
 
 import argparse
@@ -66,14 +67,17 @@ def compare(metric, parent, change):
              if name in a["metrics"] and name in b["metrics"]]
     p, c = [a for a, _ in pairs], [b for _, b in pairs]
     pm, cm = statistics.median(p), statistics.median(c)
-    q1, _, q3 = statistics.quantiles(p, n=4, method="inclusive")
+    # quartiles take two values at least: one pair reports none
+    quartiles = (statistics.quantiles(p, n=4, method="inclusive")[::2]
+                 if len(p) > 1 else None)
     move = (cm - pm) / pm if pm else 0.0
     wins = sum((b > a) if higher else (b < a) for a, b in pairs)
     return {"parent_median": pm, "change_median": cm,
             "change_vs_parent": move,
             "change_better_pairs": f"{wins}/{len(p)}",
-            "parent_quartiles": [q1, q3],
-            "gap_exceeds_parent_iqr": abs(cm - pm) > q3 - q1,
+            "parent_quartiles": quartiles,
+            "gap_exceeds_parent_iqr": None if quartiles is None
+            else abs(cm - pm) > quartiles[1] - quartiles[0],
             "bound": metric["bound"],
             "within_bound": (-move if higher else move) <= metric["bound"]}
 
