@@ -217,7 +217,7 @@ def cmd_scenario(args):
 
 
 def cmd_bench(args):
-    from . import kat, maacore
+    from . import kat
     if args.blocks < 1:
         raise _UsageError("--blocks wants a positive count")
     rng = random.Random(0x1D1A)
@@ -236,10 +236,6 @@ def cmd_bench(args):
         print(f"{name:7} {args.blocks} blocks, median of {_BENCH_PASSES} "
               f"passes {rates[_BENCH_PASSES // 2]:,.0f} blocks/s "
               f"(range {rates[0]:,.0f}-{rates[-1]:,.0f})  MAC {z:08X}")
-    # the gate core's one memo table, the last key's prelude
-    hits, misses, _, entries = maacore.prelude.cache_info()
-    print(f"memo    prelude {entries:6,} entries {hits:10,} hits "
-          f"{misses:8,} misses  hit ratio {hits / max(hits + misses, 1):.3f}")
     if len(macs) > 1:
         print("cores disagree", file=sys.stderr)
         return 1

@@ -193,8 +193,8 @@ def run_record(record, core):
 
 def run_suite(suite="ALL", core="gate"):
     """Run a suite (or ALL) on one core (or both); returns a SuiteReport."""
-    suite = suite.upper()
-    core = core.lower()
+    suite = suite.upper() if isinstance(suite, str) else suite
+    core = core.lower() if isinstance(core, str) else core
     if suite != "ALL" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of "
                          f"{', '.join(SUITES)} or ALL")

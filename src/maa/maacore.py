@@ -1,15 +1,15 @@
 """The three MAA phases and the streaming per-block MAC state machine.
 
 A 64-bit key (J, K) is expanded by the prelude into six words: starting
-values X0, Y0, V0, a per-block constant W, and two coda words S, T.  The
-last key's six are kept, as a message or a trace uses one key; code that
-rebinds a gate op at run time must call prelude.cache_clear().  The main
-loop consumes one message block per step, updating X, Y and a rotating V
-under the conditioning masks TRUE_MASKS, which it reads on each call, so
-one rebinding reaches every path.  The coda runs the main loop twice
-more, on S then T; the MAC is XOR(X, Y).  main_loop returns only the new
-registers; loop_trace is its instrumented copy, which returns every
-intermediate, as nativecore's _fold and loop_trace are.
+values X0, Y0, V0, a per-block constant W, and two coda words S, T.  A
+Key keeps its six from its first stream on; prelude keeps nothing, so
+every int entry runs the gate ops as they are bound at call time.  The
+main loop consumes one message block per step, updating X, Y and a
+rotating V under the conditioning masks TRUE_MASKS, which it reads on
+each call, so one rebinding reaches every path.  The coda runs the main
+loop twice more, on S then T; the MAC is XOR(X, Y).  main_loop returns
+only the new registers; loop_trace is its instrumented copy, which
+returns every intermediate, as nativecore's _fold and loop_trace are.
 
 The phases take and return words as wordcore's host ints.  Block is the
 type of the public names only: Key, message_blocks, MacStream (its
@@ -27,7 +27,7 @@ root's, shared with nativecore; this core imports nothing of the other.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from . import EmptyMessageError, MessageLimitError, SEGMENT_BLOCKS, check_key
 from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, _check_words, segments
@@ -38,7 +38,8 @@ from .maaops import byt, cyc, mul1, mul2, mul2a, pat, q
 
 @dataclass(frozen=True)
 class Key:
-    """The 64-bit key as two blocks.  J seeds X/Y, K seeds V/W/S/T."""
+    """The 64-bit key as two blocks.  Through BYT, J feeds X0, V0 and S,
+    K feeds Y0, W and T; the halves are read once, by the first stream."""
     J: Block
     K: Block
 
@@ -50,6 +51,10 @@ class Key:
     @classmethod
     def from_hex(cls, j, k):
         return cls(Block.from_hex(j), Block.from_hex(k))
+
+    @cached_property
+    def _expanded(self):
+        return prelude(self.J.value, self.K.value)
 
 
 # (or1, and1, or2, and2): OR then AND ahead of MUL1 and MUL2A, so that no
@@ -98,7 +103,6 @@ def power_chain(j1, k1, p):
     return im
 
 
-@lru_cache(maxsize=1, typed=True)  # typed: an int key never answers for 1.0
 def prelude(j, k):
     """Expand the key halves J, K into (X0, Y0, V0, W, S, T).
 
@@ -176,7 +180,7 @@ class MacStream:
         if not isinstance(key, Key):
             raise TypeError(f"expected a Key, got {type(key).__name__}")
         self.limit = limit
-        self._pre = prelude(key.J.value, key.K.value)
+        self._pre = key._expanded
         self.prelude = tuple(map(Block, self._pre))
         self._regs = self._pre[:3]
         self.total_blocks = 0

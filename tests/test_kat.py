@@ -140,13 +140,8 @@ def test_a_gate_op_bound_on_maacore_reaches_every_record_kind(monkeypatch):
     # records, the key expansion, the main loop and whole messages alike
     real = maacore.mul1
     monkeypatch.setattr(maacore, "mul1", lambda a, b: real(a, b) ^ 1)
-    maacore.prelude.cache_clear()
-    try:
-        failed = {(c.suite, c.record) for suite in ("T1", "T2", "LONG")
-                  for c in kat.run_suite(suite, "gate").failures()}
-    finally:
-        monkeypatch.undo()
-        maacore.prelude.cache_clear()
+    failed = {(c.suite, c.record) for suite in ("T1", "T2", "LONG")
+              for c in kat.run_suite(suite, "gate").failures()}
     ops = {r.op for r in kat.load_vectors() if (r.suite, r.name) in failed}
     assert {"MUL1", "PRELUDE_CHAIN", "LOOP_TRACE", "LONG_MAC"} <= ops
 
@@ -170,12 +165,7 @@ def test_gate_corpus_catches_one_line_mutants(monkeypatch, name, mutant):
     # root's only cuts the segments.  main_loop reads TRUE_MASKS on each
     # call, so a mask mutant reaches every gate path
     monkeypatch.setattr(maacore, name, mutant)
-    maacore.prelude.cache_clear()
-    try:
-        assert kat.run_suite("ALL", "gate").failed > 0
-    finally:
-        monkeypatch.undo()
-        maacore.prelude.cache_clear()
+    assert kat.run_suite("ALL", "gate").failed > 0
 
 
 def test_core_records_hold_exactly_the_corpus_fields():
@@ -236,6 +226,11 @@ def test_run_suite_rejects_unknown_names():
         kat.run_suite("T9", "native")
     with pytest.raises(ValueError):
         kat.run_suite("ALL", "quantum")
+    # a name that is not a string is unknown too, with the same text
+    with pytest.raises(ValueError, match=r"^unknown suite 5; pick one of "):
+        kat.run_suite(5)
+    with pytest.raises(ValueError, match=r"^unknown core None; pick one of "):
+        kat.run_suite("ALL", None)
     # but case is forgiven
     report = kat.run_suite("long", "NATIVE".lower())
     assert report.checks and report.failed == 0

@@ -48,9 +48,16 @@ def test_prelude_degenerate_key():
         tuple(map(Block, pre))
 
 
-def test_prelude_keeps_one_key_and_survives_alternating_keys():
-    # the gate core keeps only the last key's prelude: alternating keys
-    # evict it on every change, and each MAC must still be the native one
+def test_a_key_expands_once_and_survives_alternating_keys(monkeypatch):
+    # a Key runs the prelude for its first stream only; alternating keys
+    # each keep their own six, and each MAC must still be the native one
+    calls = []
+
+    def counted(j, k):
+        calls.append((j, k))
+        return prelude(j, k)
+
+    monkeypatch.setattr(maacore, "prelude", counted)
     rng = random.Random(0xCAC4E)
     payloads = [rng.randbytes(n) for n in (*range(1, 10), 1025)]
     a = Key.from_hex("E6A12F07", "9D15C437")
@@ -59,14 +66,25 @@ def test_prelude_keeps_one_key_and_survives_alternating_keys():
         for payload in payloads:
             assert mac_message(key, payload).value == nativecore.mac_values(
                 key.J.value, key.K.value, maa.words([payload]))
-    info = prelude.cache_info()
-    assert info.maxsize == 1 and info.currsize == 1
-    prelude.cache_clear()
-    assert prelude(W("80018001"), W("80018000")) == \
-        prelude(W("80018001"), W("80018000"))
-    assert prelude.cache_info()[:2] == (1, 1)    # hits, misses
-    prelude.cache_clear()
-    assert prelude.cache_info().currsize == 0
+    assert calls == [(W("E6A12F07"), W("9D15C437")), (W("00FF00FF"), 0)]
+    # a fresh, equal Key expands again, once, to the same six
+    again = Key.from_hex("E6A12F07", "9D15C437")
+    assert again == a
+    assert MacStream(again).prelude == MacStream(again).prelude == \
+        MacStream(a).prelude
+    assert calls[2:] == [(W("E6A12F07"), W("9D15C437"))]
+
+
+def test_a_gate_op_bound_on_maacore_reaches_a_key_just_used(monkeypatch):
+    # mul2 runs in the prelude only: rebound, it changes the very next
+    # int MAC on the same key halves, with nothing to clear
+    values = [0x12345678, 0x9ABCDEF0]
+    want = maacore.mac_values(0x80018001, 0x80018000, values)
+    real = maacore.mul2
+    monkeypatch.setattr(maacore, "mul2", lambda a, b: real(a, b) ^ 1)
+    assert maacore.mac_values(0x80018001, 0x80018000, values) != want
+    monkeypatch.undo()
+    assert maacore.mac_values(0x80018001, 0x80018000, values) == want
 
 
 @given(words, words, words, words, words)
@@ -263,7 +281,6 @@ def test_mac_values_checks_each_word_once(monkeypatch):
     for run in (lambda: maacore.mac_values(1, 2, values),
                 lambda: mac_message(Key(Block(1), Block(2)), payload).value):
         counts.clear()
-        prelude.cache_clear()  # so that check_key runs, as on a fresh key
         assert run() == want
         assert counts == once
 

@@ -153,8 +153,8 @@ def test_block_multiplier_edges():
         assert product[0] << 32 | product[1] == a * b
 
 
-# Evaluations of each circuit on a fixed gate workload from a cleared
-# prelude: an adder or multiplier added or dropped moves them.
+# Evaluations of each circuit on a fixed gate workload from a fresh
+# key: an adder or multiplier added or dropped moves them.
 GATE_CALLS = {"adder": 950, "multiplier": 255}
 
 
@@ -172,13 +172,11 @@ def test_gate_construction_is_pinned(monkeypatch):
         for name, circuit in circuits.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, circuit))
-    maacore.prelude.cache_clear()
     key = maacore.Key.from_hex("E6A12F07", "9D15C437")
     assert maacore.mac_message(key, bytes(range(150)) * 2).hex() == "32611667"
     for a in EDGES:
         for b in EDGES:
             mul_block(a, b)
-    maacore.prelude.cache_clear()
     assert counts == GATE_CALLS
 
 
