@@ -100,20 +100,30 @@ def cmd_selftest(args):
     suite = _SUITE_FLAGS[args.suite]
     suites = SUITES if suite == "ALL" else (suite,)
     cores = (args.core,) if args.core in CORES else CORES
-    failures = []
-    total = 0
+    say = print if not args.json else lambda line: None
+    counts, failures, notes = [], [], []
     for s in suites:
         for core in cores:
             report = kat.run_suite(s, core)
-            total += len(report.checks)
+            counts.append({"suite": s, "core": core, "passed": report.passed,
+                           "failed": report.failed})
             failures.extend(report.failures())
             tag = "ok" if report.failed == 0 else f"{report.failed} FAILED"
-            print(f"{s:8} {core:7} {report.passed}/{len(report.checks)} {tag}")
+            say(f"{s:8} {core:7} {report.passed}/{len(report.checks)} {tag}")
+        notes.extend(report.notes)
         for note in report.notes:
-            print(f"note: {note}")
+            say(f"note: {note}")
     for c in failures:
-        print(f"FAIL {c.label}: expected {c.want}, got {c.got}")
-    print(f"selftest: {total - len(failures)}/{total} checks passed")
+        say(f"FAIL {c.label}: expected {c.want}, got {c.got}")
+    passed = sum(c["passed"] for c in counts)
+    say(f"selftest: {passed}/{passed + len(failures)} checks passed")
+    if args.json:
+        import hashlib, json
+        print(json.dumps({
+            "passed": passed, "failed": len(failures), "suites": counts,
+            "failures": [c._asdict() for c in failures], "notes": notes,
+            "corpus_sha256": hashlib.sha256(kat.CORPUS.read_bytes())
+            .hexdigest()}, indent=1))
     return 0 if not failures else 1
 
 
@@ -268,6 +278,7 @@ def _build_parser():
     p = sub.add_parser("selftest", help="run the known-answer corpus")
     p.add_argument("--suite", choices=sorted(_SUITE_FLAGS), default="all")
     p.add_argument("--core", choices=[*CORES, "both"], default="both")
+    p.add_argument("--json", action="store_true", help="print JSON only")
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("scenario", help="run a register-check script")

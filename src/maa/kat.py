@@ -76,6 +76,7 @@ class SuiteReport(namedtuple("SuiteReport", "suite core checks notes")):
         return [c for c in self.checks if not c.ok]
 
 
+CORPUS = resources.files("maa").joinpath("vectors.txt")
 _RECORDS = None
 
 
@@ -92,7 +93,7 @@ def load_vectors():
     """
     global _RECORDS
     if _RECORDS is None:
-        text = resources.files("maa").joinpath("vectors.txt").read_text("ascii")
+        text = CORPUS.read_text("ascii")
         rows = [line.split() for line in text.splitlines()]
         _RECORDS = [VectorRecord(*f[:3], _pairs(f[3]), _pairs(f[4]))
                     for f in rows if f and not f[0].startswith("#")]

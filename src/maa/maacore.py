@@ -1,15 +1,15 @@
 """The three MAA phases and the streaming per-block MAC state machine.
 
 A 64-bit key (J, K) is expanded by the prelude into six words: starting
-values X0, Y0, V0, a per-block constant W, and two coda words S, T.  A
-Key keeps its six from its first stream on; prelude keeps nothing, so
-every int entry runs the gate ops as they are bound at call time.  The
-main loop consumes one message block per step, updating X, Y and a
-rotating V under the conditioning masks TRUE_MASKS, which it reads on
-each call, so one rebinding reaches every path.  The coda runs the main
-loop twice more, on S then T; the MAC is XOR(X, Y).  main_loop returns
-only the new registers; loop_trace is its instrumented copy, which
-returns every intermediate, as nativecore's _fold and loop_trace are.
+values X0, Y0, V0, a per-block constant W, and two coda words S, T.  A Key
+keeps its six from its first stream on; prelude keeps nothing, so every int
+entry runs the gate ops as they are bound at call time.  The main loop
+consumes one message block per step, updating X, Y and a rotating V under
+the conditioning masks TRUE_MASKS, which it reads on each call, so one
+rebinding reaches every path.  The coda runs the main loop twice more, on S
+then T; the MAC is XOR(X, Y).  main_loop runs its X and Y halves as two
+lanes, _LANE bits apart, of each word; loop_trace, the op-by-op composition
+of maaops' ops, is its reference and returns every intermediate.
 
 The phases take and return words as wordcore's host ints.  Block is the
 type of the public names only: Key, message_blocks, MacStream (its
@@ -32,7 +32,7 @@ from functools import cached_property
 from . import EmptyMessageError, MessageLimitError, SEGMENT_BLOCKS, check_key
 from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, _check_words, segments
 from . import words
-from .wordcore import Block, add_block
+from .wordcore import MASK32, Block, add_block, adder, multiplier
 from .maaops import byt, cyc, mul1, mul2, mul2a, pat, q
 
 
@@ -60,19 +60,16 @@ class Key:
 # (or1, and1, or2, and2): OR then AND ahead of MUL1 and MUL2A, so that no
 # multiplier operand collapses; the vector tables substitute small ones.
 TRUE_MASKS = (0x02040801, 0xBFEF7FDF, 0x00804021, 0x7DFEFBFF)
+# main_loop's lane Y lies this far above lane X: one 64-bit product
+_LANE = 64
 
 
 def power_chain(j1, k1, p):
-    """The prelude's multiplicative core, from adjusted key halves.
-
-    Raises J1 and K1 through both multiplier ladders and combines the
-    powers into the H words.  Split out from prelude() because the
-    vector tables drive it with hand-picked J1/K1/P directly.
-
-    The record is built as it is computed, keyed as nativecore's: J1n/J2n
-    are the MUL1/MUL2 power ladders of J1 (exponents 2, 4, 6, 8), K1n/K2n
-    those of K1 (exponents 2, 4, 5, 7, 9), and the H words combine them
-    pairwise before the final byte adjustment, H5 with Q(P).
+    """The prelude's multiplicative core, from adjusted key halves, which
+    the vector tables also drive with hand-picked J1/K1/P.  Its record,
+    built as it is computed and keyed as nativecore's, holds the MUL1/MUL2
+    power ladders J1n/J2n of J1 (n = 2, 4, 6, 8) and K1n/K2n of K1 (n = 2,
+    4, 5, 7, 9), and the H words that combine them pairwise, H5 with Q(P).
     """
     im = {}
     im["J12"] = mul1(j1, j1)
@@ -104,10 +101,8 @@ def power_chain(j1, k1, p):
 
 
 def prelude(j, k):
-    """Expand the key halves J, K into (X0, Y0, V0, W, S, T).
-
-    The pattern octet P comes from the raw key halves; the power ladders
-    run on the byte-adjusted ones.
+    """Expand the key halves J, K into (X0, Y0, V0, W, S, T).  The pattern
+    octet P comes from the raw halves, the ladders from byte-adjusted ones.
     """
     check_key(j, k)
     j1, k1 = byt(j, k)
@@ -119,13 +114,20 @@ def prelude(j, k):
 
 
 def main_loop(x, y, v, w, block):
-    """One iteration: loop_trace's Xp, Yp, Vp under TRUE_MASKS, unrecorded."""
+    """loop_trace's Xp, Yp, Vp under TRUE_MASKS, two lanes at once: F and G
+    from one add, both products from one multiplier call, two folding adds."""
     or1, and1, or2, and2 = TRUE_MASKS
     vp = cyc(v)
     e = vp ^ w
     xm, ym = x ^ block, y ^ block
-    return (mul1(xm, (add_block(e, ym) | or1) & and1),
-            mul2a(ym, (add_block(e, xm) | or2) & and2), vp)
+    lanes, wide = MASK32 | MASK32 << _LANE, _LANE << 1
+    fg = (adder(ym | xm << _LANE, e | e << _LANE, 0, wide)[1]
+          | or1 | or2 << _LANE) & (and1 | and2 << _LANE)
+    p = multiplier(xm, fg & MASK32, 32, ym << _LANE, fg >> _LANE)
+    s = adder(p >> 32 & MASK32 | p >> 31 & 0xFFFFFFFE << _LANE, p & lanes,
+              0, wide)[1]
+    s = adder(s & lanes, s >> 32 & 1 | s >> 31 & 2 << _LANE, 0, wide)[1]
+    return s & MASK32, s >> _LANE & MASK32, vp
 
 
 def loop_trace(x, y, v, w, block, masks):
@@ -243,8 +245,10 @@ def message_blocks(payload):
 
 def mac_message(key, payload, limit=MESSAGE_BLOCK_LIMIT):
     """MAC of a bytes-like payload; one over the limit fails before work."""
+    if limit < 1:
+        raise ValueError(LIMIT_BELOW_ONE)
     size = memoryview(payload).nbytes
-    if 0 < limit < (size + 3) // 4:
+    if limit < (size + 3) // 4:
         raise MessageLimitError(limit)
     if not size:
         raise EmptyMessageError()

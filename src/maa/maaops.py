@@ -23,6 +23,7 @@ l gives ab if u = 0 and l < 2, else a result in 2..N - 1.
 MUL2A, the main loop's MUL2, drops the doubling's carry, so it agrees
 with MUL2 whenever u < N/2, hence whenever either operand is below
 2**31 (a derived bound, not the standard's); FIX2's AND clears bit 31.
+maacore's main_loop folds MUL1 and MUL2A side by side, in two lanes.
 """
 
 from .wordcore import MASK32, adder, add_block, mul_block, multiplier

@@ -13,6 +13,9 @@ running sum in carry-save form, as in Wallace (IEEE Trans. Electronic
 Computers EC-13, 1964), and calls the adder once.  Both are width-generic:
 the 32- and 64-bit paths run the code that the tests check exhaustively
 at 8 bits.  An operation with two results returns them as a tuple.
+Words wired side by side, as lanes of one word, share every gate bank,
+as in bitslicing (Biham, FSE 1997): the multiplier takes two products'
+rows, and maacore's main loop runs its X and Y halves as two lanes.
 
 Below the public API the gate core passes words as these ints.  Block is
 the word type of the public names only (Key, message_blocks, MacStream,
@@ -41,24 +44,29 @@ def adder(a, b, cin, width):
     return carry, s ^ carry << width
 
 
-# _ROWS[b]: the set bit positions of octet b, the rows that octet selects
-_ROWS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+# _OCTETS[width]: (k, rows) per octet at bit k, rows[b] octet b's rows
+_ROWS = {k: [bytes(i | k for i in range(8) if b >> i & 1) for b in range(256)]
+         for k in range(0, 32, 8)}
+_OCTETS = [tuple((k, _ROWS[k]) for k in range(0, w, 8)) for w in range(33)]
 
 
-def multiplier(x, y, width):
-    """Product of two width-bit words, as one word of twice that width.
-
-    y is read an octet at a time through the wiring table _ROWS: row
-    x << (i | k) for each set bit i of the octet at base k enters a bank
-    of full adders that keeps the running sum as the two words (sum,
-    carry), and the adder resolves them once, at the end."""
+def multiplier(x, y, width, x2=0, y2=0):
+    """x * y for words of up to 32 bits, or x * y + x2 * y2, x2 wired above
+    x so that the products lie side by side below bit width << 2.
+    Row m << (i | k) for each set bit i of a selector's octet at base k,
+    read through _OCTETS, enters a bank of full adders that keeps the sum
+    as the two words (sum, carry), and the adder resolves them once.  A
+    row that both selectors pick enters once, as x | x2."""
     s = c = 0
-    for k in range(0, width, 8):
-        for i in _ROWS[y >> k & 0xFF]:
-            r = x << (i | k)
-            p = s ^ c
-            s, c = p ^ r, (s & c | r & p) << 1
-    return adder(s, c, 0, width << 1)[1]
+    both = y & y2
+    for m, sel in (((x | x2, both), (x, y ^ both), (x2, y2 ^ both)) if y2
+                   else ((x, y),)):
+        for k, rows in _OCTETS[width]:
+            for i in rows[sel >> k & 0xFF]:
+                r = m << i
+                p = s ^ c
+                s, c = p ^ r, (s & c | r & p) << 1
+    return adder(s, c, 0, width << 2)[1]
 
 
 _HEX_WORD = re.compile("[0-9A-Fa-f]{8}")

@@ -1,10 +1,13 @@
 """The command line, driven in process through main(argv)."""
 
+import hashlib
+import json
 import os
 import random
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -252,6 +255,38 @@ def test_selftest_all_native(capsys):
         "LONG     native  4/4 ok\n"
         "selftest: 263/263 checks passed\n"
     )
+
+
+def test_selftest_json_is_one_object(capsys, monkeypatch):
+    # the counts per suite and core, the notes and the corpus's seal, and
+    # nothing else on stdout, so that two runs can be diffed
+    code, out, _ = run(capsys, "selftest", "--suite", "t1", "--json")
+    assert code == 0
+    report = json.loads(out)
+    raw = resources.files("maa").joinpath("vectors.txt").read_bytes()
+    assert report == {
+        "passed": 108, "failed": 0,
+        "suites": [{"suite": "T1", "core": core, "passed": 54, "failed": 0}
+                   for core in ("gate", "native")],
+        "failures": [],
+        "notes": ["T1: corpus splits the published rows into 54 checks "
+                  "(the tables list 36)"],
+        "corpus_sha256": hashlib.sha256(raw).hexdigest(),
+    }
+    # a failing check is listed with its record, want and got; exit 1
+    monkeypatch.setattr(nativecore, "q", lambda p: 0)
+    code, out, _ = run(capsys, "selftest", "--suite", "t1", "--core",
+                       "native", "--json")
+    report = json.loads(out)
+    failed = report["failures"]
+    assert code == 1 and failed and report["failed"] == len(failed)
+    assert report["suites"] == [{"suite": "T1", "core": "native",
+                                 "passed": 54 - len(failed),
+                                 "failed": len(failed)}]
+    assert set(failed[0]) == {"suite", "record", "check", "core", "want",
+                              "got"}
+    assert all(f["core"] == "native" and f["want"] != f["got"]
+               for f in failed)
 
 
 def test_selftest_rejects_unknown_suite(capsys):

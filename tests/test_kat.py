@@ -137,7 +137,9 @@ def test_both_cores_share_one_interface():
 
 def test_a_gate_op_bound_on_maacore_reaches_every_record_kind(monkeypatch):
     # a gate op has one binding: a mutant of maacore.mul1 reaches the MUL1
-    # records, the key expansion, the main loop and whole messages alike
+    # records, the key expansion, loop_trace's op-by-op main loop, and
+    # whole messages through the key expansion (main_loop runs its MUL1
+    # as lane X of its two-lane circuit, not through mul1)
     real = maacore.mul1
     monkeypatch.setattr(maacore, "mul1", lambda a, b: real(a, b) ^ 1)
     failed = {(c.suite, c.record) for suite in ("T1", "T2", "LONG")
@@ -155,15 +157,16 @@ def test_a_gate_op_bound_on_maacore_reaches_every_record_kind(monkeypatch):
     # each conditioning mask made neutral: an OR by 0, an AND by all ones
     *[("TRUE_MASKS", maacore.TRUE_MASKS[:i] + (i % 2 * 0xFFFFFFFF,)
        + maacore.TRUE_MASKS[i + 1:]) for i in range(4)],
+    ("_LANE", 63),
 ], ids=["mul1-no-carry", "mul2-is-mul2a", "byt-identity", "segment-255",
         "segment-257", "no-fix1-or", "no-fix1-and", "no-fix2-or",
-        "no-fix2-and"])
+        "no-fix2-and", "overlapping-lanes"])
 def test_gate_corpus_catches_one_line_mutants(monkeypatch, name, mutant):
     # the corpus must not pass vacuously on the gate core either: each
     # mutant, bound on maacore, has to fail at least one check.  The
     # segment length is maacore's, at which the stream restarts; the
-    # root's only cuts the segments.  main_loop reads TRUE_MASKS on each
-    # call, so a mask mutant reaches every gate path
+    # root's only cuts the segments.  main_loop reads TRUE_MASKS and its
+    # lane offset on each call, so such a mutant reaches every gate path
     monkeypatch.setattr(maacore, name, mutant)
     assert kat.run_suite("ALL", "gate").failed > 0
 

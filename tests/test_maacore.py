@@ -95,6 +95,36 @@ def test_loop_trace_true_masks_is_main_loop(x, y, v, w, m):
     assert tr["Z"] == tr["Xp"] ^ tr["Yp"]
 
 
+def test_two_lane_main_loop_on_edge_words(monkeypatch):
+    # the two-lane step against loop_trace's op-by-op composition on a
+    # grid of edge words, where the folds carry: X, Y and W (E when V is
+    # 0 and the block is 0) take every value, under two (V, block) pairs.
+    # main_loop reads TRUE_MASKS on each call; under neutral masks G''
+    # reaches bit 31, so MUL2A's doubling carries out too
+    rng = random.Random(0x1A7E)
+    edges = (0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1,
+             *(rng.getrandbits(32) for _ in range(3)))
+    carries = Counter()
+    for masks in (TRUE_MASKS, (0, 2**32 - 1, 0, 2**32 - 1)):
+        monkeypatch.setattr(maacore, "TRUE_MASKS", masks)
+        for x in edges:
+            for y in edges:
+                for w in edges:
+                    for v, m in ((0, 0), (2**31, 2**32 - 1)):
+                        tr = loop_trace(x, y, v, w, m, masks)
+                        want = tr["Xp"], tr["Yp"], tr["Vp"]
+                        assert main_loop(x, y, v, w, m) == want, \
+                            (masks, x, y, v, w, m)
+                        u, l = divmod(tr["X"] * tr["Fpp"], 2**32)
+                        carries["X"] += u + l >= 2**32
+                        u, l = divmod(tr["Y"] * tr["Gpp"], 2**32)
+                        carries["Y"] += (2 * u & 0xFFFFFFFF) + l >= 2**32
+                        carries["2u"] += 2 * u >= 2**32
+    # positive control: each lane's first fold carries out on the grid,
+    # and so does the doubling that MUL2A drops
+    assert min(carries.values()) > 100, carries
+
+
 @given(words, words, words, words, words, words)
 @settings(max_examples=40, deadline=None)
 def test_coda_is_two_more_iterations(x, y, v, w, s, t):
@@ -223,13 +253,19 @@ def test_mac_message_refuses_an_over_limit_payload_before_any_work(
     with pytest.raises(MessageLimitError):
         mac_message(key, array("I", [0] * 300), limit=SEGMENT_BLOCKS)
     assert calls == []
-    # the limit and the empty payload are judged as before
-    with pytest.raises(ValueError, match="at least 1"):
-        mac_message(key, bytes(8), limit=0)
+    # a limit below 1 is judged first, as by mac_blocks and mac_values,
+    # then the empty payload
+    for limit_below_one in (0, -1):
+        for refuse in (lambda: mac_message(key, bytes(8), limit_below_one),
+                       lambda: mac_message(key, b"", limit_below_one),
+                       lambda: mac_blocks(key, [], limit_below_one),
+                       lambda: maacore.mac_values(1, 2, [], limit_below_one)):
+            with pytest.raises(ValueError) as got:
+                refuse()
+            assert type(got.value) is ValueError
+            assert str(got.value) == "block limit must be at least 1"
     with pytest.raises(EmptyMessageError):
         mac_message(key, b"", limit=limit)
-    with pytest.raises(EmptyMessageError):
-        mac_message(key, b"", limit=0)
 
 
 @pytest.mark.parametrize("values, runs", [
