@@ -188,16 +188,13 @@ class MacStream:
         self.total_blocks = 0
 
     def push(self, block):
-        self._absorb((self._word(block),))
-        return tuple(map(Block, self._regs))
-
-    def _word(self, block):
         if not isinstance(block, Block):
             raise TypeError(f"expected a Block, got {type(block).__name__}")
         if self.total_blocks >= self.limit:
             raise MessageLimitError(self.limit)
         _check_words((block.value,))
-        return block.value
+        self._absorb((block.value,))
+        return tuple(map(Block, self._regs))
 
     def _absorb(self, values):
         """Absorb checked ints; a segment's coda waits for the next block."""
@@ -219,10 +216,10 @@ class MacStream:
 
 
 def mac_blocks(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
-    """MAC of a block sequence, each Block checked as push checks it."""
+    """MAC of a block sequence, pushed one Block at a time."""
     stream = MacStream(key, limit)
     for b in blocks:
-        stream._absorb((stream._word(b),))
+        stream.push(b)
     return stream.mac()
 
 

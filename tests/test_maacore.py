@@ -28,10 +28,6 @@ def W(hex_word):
 words = st.integers(0, 0xFFFFFFFF)
 
 
-def _random_blocks(rng, n):
-    return [Block.from_int(rng.getrandbits(32)) for _ in range(n)]
-
-
 def test_prelude_degenerate_key():
     j, k = W("00FF00FF"), W("00000000")
     pre = prelude(j, k)
@@ -145,43 +141,6 @@ def test_stream_zero_message_chain():
     assert stream.mac() == B("DB79FBDC")  # idempotent
 
 
-def test_mac_after_every_push_is_the_coda_of_the_registers():
-    # across the segment boundary too, where push itself reads mac()
-    rng = random.Random(5)
-    key = Key.from_hex("E6A12F07", "9D15C437")
-    stream = MacStream(key)
-    _, _, _, w, s, t = stream.prelude
-    for block in _random_blocks(rng, SEGMENT_BLOCKS + 3):
-        regs = stream.push(block)
-        assert stream.mac().value == coda(*(r.value for r in regs),
-                                          w.value, s.value, t.value)
-
-
-def test_segment_boundary_inserts_the_previous_result():
-    rng = random.Random(7)
-    key = Key.from_hex("E6A12F07", "9D15C437")
-    x0, y0, v0, w, s, t = prelude(key.J.value, key.K.value)
-    blocks = [b.value for b in _random_blocks(rng, SEGMENT_BLOCKS + 1)]
-
-    def fold(seq):
-        x, y, v = x0, y0, v0
-        for b in seq:
-            x, y, v = main_loop(x, y, v, w, b)
-        return x, y, v
-
-    def mac(seq):
-        return mac_blocks(key, map(Block, seq)).value
-
-    # first segment alone: a plain fold, no insertion
-    assert mac(blocks[:SEGMENT_BLOCKS]) == \
-        coda(*fold(blocks[:SEGMENT_BLOCKS]), w, s, t)
-    # one block past the boundary: the first segment's result restarts
-    # the registers before the leftover blocks
-    z1 = coda(*fold(blocks[:SEGMENT_BLOCKS]), w, s, t)
-    want = coda(*fold([z1] + blocks[SEGMENT_BLOCKS:]), w, s, t)
-    assert mac(blocks) == want
-
-
 def test_message_blocks_pads_with_zero_bytes():
     assert [b.hex() for b in message_blocks(b"\x07\x05\x03\x01\x55")] == \
         ["07050301", "55000000"]
@@ -193,46 +152,10 @@ def test_message_blocks_pads_with_zero_bytes():
         message_blocks(b"")
 
 
-def test_message_blocks_reads_a_buffer_by_its_bytes():
-    # a buffer of 2- or 4-byte items is read by its bytes, not by its
-    # count of items, and MACs as those bytes do
-    key = Key.from_hex("80018001", "80018000")
-    for payload in (array("I", [1, 2]), array("H", [1, 2, 3])):
-        assert mac_message(key, payload) == mac_message(key, bytes(payload))
-
-
-def test_mac_message_is_mac_of_padded_blocks():
-    key = Key.from_hex("80018001", "80018000")
-    payload = bytes(range(1, 11))
-    assert mac_message(key, payload) == mac_blocks(key, message_blocks(payload))
-
-
-def test_limits_and_empty_stream():
-    key = Key.from_hex("80018001", "80018000")
-    with pytest.raises(ValueError):
-        MacStream(key, limit=0)
-    stream = MacStream(key, limit=2)
-    with pytest.raises(EmptyMessageError):
-        stream.mac()
-    stream.push(Block.from_int(1))
-    stream.push(Block.from_int(2))
-    with pytest.raises(MessageLimitError):
-        stream.push(Block.from_int(3))
-    with pytest.raises(MessageLimitError):
-        mac_blocks(key, [Block.from_int(0)] * 3, limit=2)
-    with pytest.raises(EmptyMessageError):
-        mac_blocks(key, [])
-
-
 def test_mac_message_refuses_an_over_limit_payload_before_any_work(
         monkeypatch):
     key = Key.from_hex("80018001", "80018000")
     limit = 3
-    # exactly limit blocks succeed, whatever the padding
-    assert mac_message(key, bytes(4 * limit), limit=limit) == \
-        mac_blocks(key, [Block.from_int(0)] * limit)
-    assert mac_message(key, bytes(4 * limit - 3), limit=limit) == \
-        mac_message(key, bytes(4 * limit), limit=limit)
     calls = []
     real = maacore.main_loop
 

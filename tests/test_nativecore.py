@@ -2,12 +2,11 @@
 
 import random
 import struct
-from array import array
 from functools import partial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maa
@@ -15,7 +14,7 @@ from maa import CORES, kat, maacore, maaops, nativecore
 from maa.maacore import (
     EmptyMessageError, Key, MessageLimitError, SEGMENT_BLOCKS, message_blocks,
 )
-from maa.wordcore import Block
+from test_differential import EDGE_VALUES, _padded_words, _strided
 
 words = st.integers(0, 0xFFFFFFFF)
 
@@ -55,53 +54,6 @@ def test_coda_matches_gate(x, y, v, w, s, t):
 def test_prelude_matches_gate(j, k):
     pre = maacore.prelude(j, k)
     assert nativecore.prelude(j, k) == pre
-
-
-def test_mac_matches_gate_across_a_boundary():
-    import random
-    rng = random.Random(99)
-    j, k = rng.getrandbits(32), rng.getrandbits(32)
-    values = [rng.getrandbits(32) for _ in range(257)]
-    key = Key(Block.from_int(j), Block.from_int(k))
-    want = maacore.mac_blocks(key, [Block.from_int(v) for v in values])
-    assert nativecore.mac_values(j, k, values) == want.value
-    assert nativecore.native_mac(key, [Block.from_int(v) for v in values]) \
-        == want
-
-
-# lengths in blocks where mac_values' E words wrap round: V repeats every
-# 32 blocks, the coda adds two, and a second segment adds the MAC of the
-# first
-WRAP_LENGTHS = [1, 2, *range(29, 35), *range(62, 67), *range(254, 259),
-                *range(286, 291), *range(511, 514)]
-
-
-def test_mac_values_matches_gate_where_the_e_words_wrap():
-    rng = random.Random(30)
-    for n in WRAP_LENGTHS:
-        j, k = rng.getrandbits(32), rng.getrandbits(32)
-        values = [rng.getrandbits(32) for _ in range(n)]
-        assert nativecore.mac_values(j, k, values) == \
-            maacore.mac_values(j, k, values), n
-
-
-@pytest.mark.parametrize("j, k, mac", [
-    ("00000000", "00000000", "D51BF707"),
-    ("00000000", "FFFFFFFF", "25082A1D"),
-    ("FFFFFFFF", "00000000", "2731F132"),
-    ("FFFFFFFF", "FFFFFFFF", "E91EA110"),
-])
-def test_edge_keys_match_gate(j, k, mac):
-    # the key-range check admits both ends of the 32-bit range
-    values = [0x00000000, 0xFFFFFFFF, 0x12345678]
-    gate = maacore.mac_blocks(Key.from_hex(j, k), map(Block.from_int, values))
-    native = nativecore.mac_values(int(j, 16), int(k, 16), values)
-    assert f"{native:08X}" == gate.hex() == mac
-
-
-# words at the multiplications' edges, mixed into the segment tests
-EDGE_VALUES = (0x00000000, 0x00000001, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE,
-               0xFFFFFFFF)
 
 
 def _traced_mac(j, k, values):
@@ -207,85 +159,12 @@ def test_both_cores_refuse_bad_input_alike(core):
         other.mac_values(1, 2, [1, 0])
 
 
-def _padded_words(data):
-    """The oracle: data zero-padded to whole words, unpacked by struct."""
-    padded = data + bytes(-len(data) % 4)
-    return [w for (w,) in struct.iter_unpack(">I", padded)]
-
-
-def _strided(chunk):
-    """A view of chunk's bytes that is not C-contiguous: every other byte
-    of a buffer twice its size."""
-    spread = bytearray(2 * len(chunk))
-    spread[::2] = chunk
-    return memoryview(spread)[::2]
-
-
-def _rows_of_two(data):
-    """data's bytes as a 2-D view, two to a row; a cast takes no zero in
-    its shape, so empty data stays bytes."""
-    return memoryview(data).cast("B", (len(data) // 2, 2)) if data else data
-
-
-def _in_items(make, size):
-    """Each chunk as a buffer of size-byte items, then its leftover tail."""
-    def convert(chunk):
-        cut = len(chunk) - len(chunk) % size
-        return [make(chunk[:cut]), chunk[cut:]]
-    return convert
-
-
-# each chunk as one or more buffers whose bytes, in order, are the chunk's
-_BUFFERS = {
-    "bytes": lambda chunk: [bytes(chunk)],
-    "bytearray": lambda chunk: [bytearray(chunk)],
-    "array-I": _in_items(partial(array, "I"), 4),
-    "array-H": _in_items(partial(array, "H"), 2),
-    "strided": lambda chunk: [_strided(chunk)],
-    "2-D": _in_items(_rows_of_two, 2),
-}
-
-
-@given(st.binary(min_size=1, max_size=64), st.lists(st.integers(0, 64)))
-@example(bytes(range(1, 13)), [])
-def test_words_match_message_blocks(payload, cuts):
-    # words reads any split of any buffer by its bytes: 1-byte and empty
-    # chunks, buffers of wider items, strided and 2-D views, whole or
-    # split, all give the payload's bytes, zero-padded and unpacked here
-    cuts = sorted(c % (len(payload) + 1) for c in cuts)
-    chunks = [payload[a:b] for a, b in zip([0, *cuts], [*cuts, len(payload)])]
-    want = _padded_words(payload)
-    assert list(maa.words([payload[i:i + 1]
-                           for i in range(len(payload))])) == want
-    for kind, convert in _BUFFERS.items():
-        for split in ([payload], chunks):
-            buffers = [b for chunk in split for b in convert(chunk)]
-            assert b"".join(map(bytes, buffers)) == payload, kind
-            assert list(maa.words(buffers)) == want, kind
-    assert [b.value for b in message_blocks(payload)] == want
-
-
 def test_words_reads_a_chunk_longer_than_one_run():
     # words reads a long chunk maa._RUN_BYTES at a time: every word of
     # every run, the runs' ends and the tail included, whole or strided
     data = random.Random(29).randbytes(2 * maa._RUN_BYTES + 7)
     for buf in (data, _strided(data)):
         assert list(maa.words([buf])) == _padded_words(data)
-
-
-def test_a_strided_buffer_macs_as_its_bytes():
-    # a view that is not C-contiguous, 1-D or 2-D, MACs as its bytes on
-    # every byte path of both cores
-    key = Key.from_hex("80018001", "80018000")
-    flat = bytes(range(1, 39))
-    for buf in (_strided(flat),
-                memoryview(flat[:36]).cast("B", (6, 6))[::2]):
-        data = bytes(buf)
-        assert message_blocks(buf) == message_blocks(data)
-        assert maacore.mac_message(key, buf) == \
-            maacore.mac_message(key, data)
-        assert nativecore.mac_values(1, 2, maa.words([buf])) == \
-            nativecore.mac_values(1, 2, maa.words([data]))
 
 
 def test_words_on_a_big_endian_host(monkeypatch):
