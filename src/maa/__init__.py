@@ -102,8 +102,11 @@ def words(chunks):
 def segments(values, limit):
     """Block values as lists of up to SEGMENT_BLOCKS, each checked as a
     whole before it is yielded, the limit first, then type and range; so
-    an over-limit stream is read one segment past the limit at most.  No
-    values at all raise EmptyMessageError."""
+    an over-limit stream is read one segment past the limit at most, and
+    values with a len over it are refused before any segment.  No values
+    at all raise EmptyMessageError."""
+    if hasattr(values, "__len__") and len(values) > limit:
+        raise MessageLimitError(limit)
     it = iter(values)
     count = 0
     while seg := list(islice(it, SEGMENT_BLOCKS)):

@@ -19,6 +19,10 @@ mac_values builds the key's E words once, at most 32, and folds each
 segment over them, cycling past 32 blocks, with S and T as its last two
 blocks (the coda).  loop_trace is a separate, instrumented copy under the masks it
 is given.  BYT and PAT are table lookups on the eight key bytes.
+
+The key expansion is one ladder, _ladder, kept in locals: prelude reads
+its six H words from the tuple it returns, and power_chain builds the
+corpus's PRELUDE_CHAIN record from the same tuple, for the corpus only.
 """
 
 from itertools import cycle
@@ -73,45 +77,51 @@ def q(o):
     return (o + 1) * (o + 1)
 
 
+# the PRELUDE_CHAIN record's names, in the order _ladder returns them
+_CHAIN = ("J12", "J14", "J16", "J18", "J22", "J24", "J26", "J28",
+          "K12", "K14", "K15", "K17", "K19", "K22", "K24", "K25", "K27",
+          "K29", "H0", "H4", "H5", "H6", "H7", "H8", "H9")
+
+
+def _ladder(j1, k1, p):
+    """Prelude power ladders and H blocks, in locals, returned in _CHAIN's
+    order: the prelude reads its six H words from the end."""
+    j12 = mul1(j1, j1)
+    j14 = mul1(j12, j12)
+    j16 = mul1(j12, j14)
+    j18 = mul1(j12, j16)
+    j22 = mul2(j1, j1)
+    j24 = mul2(j22, j22)
+    j26 = mul2(j22, j24)
+    j28 = mul2(j22, j26)
+    k12 = mul1(k1, k1)
+    k14 = mul1(k12, k12)
+    k15 = mul1(k1, k14)
+    k17 = mul1(k12, k15)
+    k19 = mul1(k12, k17)
+    k22 = mul2(k1, k1)
+    k24 = mul2(k22, k22)
+    k25 = mul2(k1, k24)
+    k27 = mul2(k22, k25)
+    k29 = mul2(k22, k27)
+    h0 = k15 ^ k25
+    return (j12, j14, j16, j18, j22, j24, j26, j28, k12, k14, k15, k17,
+            k19, k22, k24, k25, k27, k29, h0, j14 ^ j24, mul2(h0, q(p)),
+            j16 ^ j26, k17 ^ k27, j18 ^ j28, k19 ^ k29)
+
+
 def power_chain(j1, k1, p):
-    """Prelude power ladders and H blocks, keyed like the gate-level
-    intermediates record and built as they are computed."""
-    im = {}
-    im["J12"] = mul1(j1, j1)
-    im["J14"] = mul1(im["J12"], im["J12"])
-    im["J16"] = mul1(im["J12"], im["J14"])
-    im["J18"] = mul1(im["J12"], im["J16"])
-    im["J22"] = mul2(j1, j1)
-    im["J24"] = mul2(im["J22"], im["J22"])
-    im["J26"] = mul2(im["J22"], im["J24"])
-    im["J28"] = mul2(im["J22"], im["J26"])
-    im["K12"] = mul1(k1, k1)
-    im["K14"] = mul1(im["K12"], im["K12"])
-    im["K15"] = mul1(k1, im["K14"])
-    im["K17"] = mul1(im["K12"], im["K15"])
-    im["K19"] = mul1(im["K12"], im["K17"])
-    im["K22"] = mul2(k1, k1)
-    im["K24"] = mul2(im["K22"], im["K22"])
-    im["K25"] = mul2(k1, im["K24"])
-    im["K27"] = mul2(im["K22"], im["K25"])
-    im["K29"] = mul2(im["K22"], im["K27"])
-    im["H4"] = im["J14"] ^ im["J24"]
-    im["H6"] = im["J16"] ^ im["J26"]
-    im["H8"] = im["J18"] ^ im["J28"]
-    im["H0"] = im["K15"] ^ im["K25"]
-    im["H5"] = mul2(im["H0"], q(p))
-    im["H7"] = im["K17"] ^ im["K27"]
-    im["H9"] = im["K19"] ^ im["K29"]
-    return im
+    """The ladder as the PRELUDE_CHAIN record, built only for the corpus."""
+    return dict(zip(_CHAIN, _ladder(j1, k1, p)))
 
 
 def prelude(j, k):
     check_key(j, k)
     j1, k1 = byt(j, k)
-    im = power_chain(j1, k1, pat(j, k))
-    x0, y0 = byt(im["H4"], im["H5"])
-    v0, w = byt(im["H6"], im["H7"])
-    s, t = byt(im["H8"], im["H9"])
+    h4, h5, h6, h7, h8, h9 = _ladder(j1, k1, pat(j, k))[-6:]
+    x0, y0 = byt(h4, h5)
+    v0, w = byt(h6, h7)
+    s, t = byt(h8, h9)
     return x0, y0, v0, w, s, t
 
 

@@ -176,6 +176,11 @@ def test_mac_message_refuses_an_over_limit_payload_before_any_work(
     with pytest.raises(MessageLimitError):
         mac_message(key, array("I", [0] * 300), limit=SEGMENT_BLOCKS)
     assert calls == []
+    # the block count rounds a short tail up: one byte past a whole
+    # segment at a one-segment limit runs no segment
+    with pytest.raises(MessageLimitError):
+        mac_message(key, bytes(4 * SEGMENT_BLOCKS + 1), limit=SEGMENT_BLOCKS)
+    assert calls == []
     # a limit below 1 is judged first, as by mac_blocks and mac_values,
     # then the empty payload
     for limit_below_one in (0, -1):
@@ -189,6 +194,21 @@ def test_mac_message_refuses_an_over_limit_payload_before_any_work(
             assert str(got.value) == "block limit must be at least 1"
     with pytest.raises(EmptyMessageError):
         mac_message(key, b"", limit=limit)
+    # an empty payload is refused before a fresh key is expanded; the
+    # positive control expands one
+    preludes = []
+    real_prelude = maacore.prelude
+
+    def counting_prelude(*args):
+        preludes.append(args)
+        return real_prelude(*args)
+
+    monkeypatch.setattr(maacore, "prelude", counting_prelude)
+    mac_message(Key.from_hex("00000001", "00000002"), bytes(4))
+    assert len(preludes) == 1
+    with pytest.raises(EmptyMessageError):
+        mac_message(Key.from_hex("00000003", "00000004"), b"")
+    assert len(preludes) == 1
 
 
 @pytest.mark.parametrize("values, runs", [

@@ -2,6 +2,7 @@
 
 import random
 import struct
+from array import array
 from functools import partial
 from types import SimpleNamespace
 
@@ -221,6 +222,31 @@ def test_limit_stops_reading_an_endless_stream(core, limit):
     assert pulled <= bound
 
 
+@pytest.mark.parametrize("core", CORE_MODULES, ids=list(CORES))
+def test_a_sized_input_over_the_limit_is_refused_before_any_work(
+        monkeypatch, core):
+    # a list or an array is judged by its len before its first segment
+    # is read; a block runs in the gate core's main_loop and in the
+    # native core's _fold
+    step = "main_loop" if core is maacore else "_fold"
+    calls = []
+    real = getattr(core, step)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, step, counting)
+    # positive control: the patch sees the work of an accepted message
+    core.mac_values(1, 2, [0] * 300, limit=300)
+    assert calls
+    calls.clear()
+    for values in ([0] * 301, array("I", [0] * 301)):
+        with pytest.raises(MessageLimitError):
+            core.mac_values(1, 2, values, limit=300)
+        assert calls == [], type(values)
+
+
 def _mul1_without_end_around_carry(a, b):
     p = a * b
     return ((p >> 32) + (p & nativecore.MASK32)) & nativecore.MASK32
@@ -235,9 +261,12 @@ def _mul1_without_end_around_carry(a, b):
     # each conditioning mask made neutral: an OR by 0, an AND by all ones
     *[("TRUE_MASKS", nativecore.TRUE_MASKS[:i] + (i % 2 * nativecore.MASK32,)
        + nativecore.TRUE_MASKS[i + 1:]) for i in range(4)],
+    # two record names swapped: the ladder's words reach PRELUDE_CHAIN
+    # by _CHAIN's order alone
+    ("_CHAIN", ("J14", "J12", *nativecore._CHAIN[2:])),
 ], ids=["mul1-no-carry", "mul2-is-mul2a", "segment-255", "segment-257",
         "byt-identity", "no-fix1-or", "no-fix1-and", "no-fix2-or",
-        "no-fix2-and"])
+        "no-fix2-and", "chain-names-swapped"])
 def test_corpus_catches_one_line_mutants(monkeypatch, name, mutant):
     # the corpus must not pass vacuously: each mutant of the native core
     # has to fail at least one check; the segment length is the package
