@@ -12,7 +12,10 @@ and von Neumann, 1946), so few layers run.  The multiplier keeps its
 running sum in carry-save form, as in Wallace (IEEE Trans. Electronic
 Computers EC-13, 1964), and calls the adder once.  Both are width-generic:
 the 32- and 64-bit paths run the code that the tests check exhaustively
-at 8 bits.  An operation with two results returns them as a tuple.
+at 8 bits.  The adder refuses a negative operand, whose carries would
+ripple forever, with a ValueError; so, through it, does the multiplier
+a negative multiplicand.  An operation with two results returns them as
+a tuple.
 Words wired side by side, as lanes of one word, share every gate bank,
 as in bitslicing (Biham, FSE 1997): the multiplier takes two products'
 rows, and maacore's main loop runs its X and Y halves as two lanes.
@@ -34,8 +37,11 @@ def adder(a, b, cin, width):
     The first layer of half adders takes a and b, the carry in wired onto
     the free bit 0 of its carry word; each further layer adds the sum and
     carry words of the last, s, c = s ^ c, (s & c) << 1, until the carry
-    word is zero, after at most width + 1 layers.
+    word is zero, after at most width + 1 layers.  A negative operand,
+    whose carry word would never empty, is refused.
     """
+    if (a | b) < 0:
+        raise ValueError("adder operands must not be negative")
     s = a ^ b
     c = (a & b) << 1 | cin
     while c:

@@ -15,6 +15,24 @@ def child_env():
     return env
 
 
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(owner, name) rebinds owner.name, for this test, to a wrapper
+    that records each call's positional arguments as a tuple and calls
+    through; it returns the list of records."""
+    def install(owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def recorded(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+        return calls
+    return install
+
+
 _BY_NODE = {}
 _ROWS = {}
 

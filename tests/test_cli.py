@@ -379,15 +379,8 @@ def test_scenario_parse_errors(tmp_path, capsys):
 
 
 def test_scenario_refuses_an_over_limit_cycle_before_it_runs(
-        tmp_path, capsys, monkeypatch):
-    calls = []
-    real = maacore.main_loop
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(maacore, "main_loop", counting)
+        tmp_path, capsys, spy):
+    calls = spy(maacore, "main_loop")
     head = "key 00FF00FF 00000000\nblock 55555555\n"
     path = tmp_path / "long.scenario"
     # positive control: the patch sees every cycle of an accepted run

@@ -97,6 +97,7 @@ def test_both_cores_refuse_a_limit_below_one_alike(limit):
         lambda: maacore.MacStream(key, limit),
         lambda: maacore.mac_blocks(key, unread(), limit),
         lambda: maacore.mac_message(key, b"\1", limit),
+        lambda: maacore.mac_message(key, b"", limit),
     ]
     for refuse in refusals:
         with pytest.raises(ValueError) as info:
@@ -224,19 +225,11 @@ def test_limit_stops_reading_an_endless_stream(core, limit):
 
 @pytest.mark.parametrize("core", CORE_MODULES, ids=list(CORES))
 def test_a_sized_input_over_the_limit_is_refused_before_any_work(
-        monkeypatch, core):
+        spy, core):
     # a list or an array is judged by its len before its first segment
     # is read; a block runs in the gate core's main_loop and in the
     # native core's _fold
-    step = "main_loop" if core is maacore else "_fold"
-    calls = []
-    real = getattr(core, step)
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(core, step, counting)
+    calls = spy(core, "main_loop" if core is maacore else "_fold")
     # positive control: the patch sees the work of an accepted message
     core.mac_values(1, 2, [0] * 300, limit=300)
     assert calls

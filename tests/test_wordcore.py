@@ -13,7 +13,6 @@ from maa import maacore, maaops, nativecore, wordcore
 from maa.maaops import addc
 from maa.wordcore import Block, add_block, adder, mul_block, multiplier
 
-octets = st.integers(0, 255)
 words = st.integers(0, 0xFFFFFFFF)
 
 
@@ -24,6 +23,15 @@ def test_bit_adder_truth_table():
             for c in (0, 1):
                 total = a + b + c
                 assert adder(a, b, c, 1) == (total >> 1, total & 1)
+
+
+def test_negative_operands_are_refused():
+    # a negative int's carry word never empties: the adder would spin,
+    # and the multiplier, whose rows it sums, with it
+    for run in (lambda: adder(-1, 1, 0, 32), lambda: adder(1, -1, 0, 32),
+                lambda: multiplier(-3, 5, 8)):
+        with pytest.raises(ValueError, match="must not be negative"):
+            run()
 
 
 def test_octet_logic_exhaustive():
@@ -38,22 +46,6 @@ def test_octet_logic_exhaustive():
                 nativecore.pat(a, b)
             assert maaops.byt(a, b) == nativecore.byt(a, b)
             assert (maaops.byt(a, b) == (a, b)) is not flagged
-
-
-@given(octets, octets, st.integers(0, 1))
-def test_octet_adder(a, b, cin):
-    # the width-generic prefix adder at 8 bits
-    assert adder(a, b, cin, 8) == ((a + b + cin) >> 8, (a + b + cin) & 0xFF)
-
-
-@given(octets, octets)
-def test_octet_multiplier(a, b):
-    assert multiplier(a, b, 8) == a * b
-
-
-def test_octet_multiplier_edges():
-    for a, b in [(0, 0), (0, 255), (255, 0), (255, 255), (1, 255), (128, 2)]:
-        assert multiplier(a, b, 8) == a * b
 
 
 def test_two_pair_multiplier_exhaustive_at_8_bits():
@@ -147,13 +139,6 @@ def test_block_logic(ws):
     assert (tr["Fp"], tr["Gp"]) == (tr["F"] | or1, tr["G"] | or2)
     assert (tr["Fpp"], tr["Gpp"]) == (tr["Fp"] & and1, tr["Gp"] & and2)
     assert tr["Z"] == tr["Xp"] ^ tr["Yp"]
-
-
-@given(words, words)
-def test_block_multiplier(a, b):
-    upper, lower = mul_block(a, b)
-    assert upper == a * b >> 32
-    assert lower == a * b & 0xFFFFFFFF
 
 
 # Words at the octet and half-word seams, and at the ends of the range.
