@@ -26,7 +26,6 @@ The input boundary and the errors of a refused message are the package
 root's, shared with nativecore; this core imports nothing of the other.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import EmptyMessageError, MessageLimitError, SEGMENT_BLOCKS, check_key
@@ -36,21 +35,31 @@ from .wordcore import MASK32, Block, add_block, adder, multiplier
 from .maaops import byt, cyc, mul1, mul2, mul2a, pat, q
 
 
-@dataclass(frozen=True)
 class Key:
     """The 64-bit key as two blocks.  Through BYT, J feeds X0, V0 and S,
-    K feeds Y0, W and T; the halves are read once, by the first stream."""
-    J: Block
-    K: Block
+    K feeds Y0, W and T; the read-only halves are read by the first stream."""
 
-    def __post_init__(self):
-        if not (isinstance(self.J, Block) and isinstance(self.K, Block)):
+    def __init__(self, J, K):
+        if not (isinstance(J, Block) and isinstance(K, Block)):
             raise TypeError("key halves must be Blocks; use Key.from_hex "
                             "or Block.from_int")
+        self._halves = J, K
+
+    J = property(lambda self: self._halves[0])
+    K = property(lambda self: self._halves[1])
 
     @classmethod
     def from_hex(cls, j, k):
         return cls(Block.from_hex(j), Block.from_hex(k))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._halves == other._halves
+
+    def __hash__(self):
+        return hash(self._halves)
+
+    def __repr__(self):
+        return f"Key(J={self.J!r}, K={self.K!r})"
 
     @cached_property
     def _expanded(self):

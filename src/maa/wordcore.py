@@ -14,8 +14,8 @@ Computers EC-13, 1964), and calls the adder once.  Both are width-generic:
 the 32- and 64-bit paths run the code that the tests check exhaustively
 at 8 bits.  The adder refuses a negative operand, whose carries would
 ripple forever, with a ValueError; so, through it, does the multiplier
-a negative multiplicand.  An operation with two results returns them as
-a tuple.
+a negative multiplicand, and the multiplier itself a negative selector.
+An operation with two results returns them as a tuple.
 Words wired side by side, as lanes of one word, share every gate bank,
 as in bitslicing (Biham, FSE 1997): the multiplier takes two products'
 rows, and maacore's main loop runs its X and Y halves as two lanes.
@@ -62,7 +62,10 @@ def multiplier(x, y, width, x2=0, y2=0):
     Row m << (i | k) for each set bit i of a selector's octet at base k,
     read through _OCTETS, enters a bank of full adders that keeps the sum
     as the two words (sum, carry), and the adder resolves them once.  A
-    row that both selectors pick enters once, as x | x2."""
+    row that both selectors pick enters once, as x | x2.  A negative
+    selector, which the rows would read by its low bits, is refused."""
+    if (y | y2) < 0:
+        raise ValueError("multiplier selectors must not be negative")
     s = c = 0
     both = y & y2
     for m, sel in (((x | x2, both), (x, y ^ both), (x2, y2 ^ both)) if y2

@@ -448,7 +448,7 @@ def test_mac_loads_only_the_native_core(child_env):
     loaded = set(proc.stderr.split())
     assert {"maa", "maa.nativecore"} <= loaded    # maa.cli ran as __main__
     assert not loaded & {"maa.wordcore", "maa.maaops", "maa.maacore",
-                         "maa.kat", "dataclasses"}
+                         "maa.kat", "dataclasses", "inspect"}
 
 
 def test_native_selftest_loads_no_gate_module(child_env):
@@ -460,7 +460,30 @@ def test_native_selftest_loads_no_gate_module(child_env):
     loaded = set(proc.stderr.split())
     assert {"maa.nativecore", "maa.kat"} <= loaded
     assert not loaded & {"maa.wordcore", "maa.maaops", "maa.maacore",
-                         "dataclasses"}
+                         "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (["selftest"], "selftest: 526/526 checks passed"),
+    (["selftest", "--core", "gate"], "selftest: 263/263 checks passed"),
+    (["trace", "--key", KEY, "--hex", "55555555AAAAAAAA"], "MAC F14D6E28"),
+    (["scenario", "{script}"], "scenario: 0 passed, 0 failed"),
+], ids=["selftest", "selftest-gate", "trace", "scenario"])
+def test_gate_commands_load_no_dataclasses(argv, last_line, tmp_path,
+                                           child_env):
+    # dataclasses brings inspect, ast, dis, tokenize and more, which no
+    # line of maa uses: about 0.6 MiB of the selftest child's peak RSS
+    script = tmp_path / "one.scenario"
+    script.write_text(f"key {KEY[:8]} {KEY[8:]}\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_THEN_MODULES,
+         *(arg.format(script=script) for arg in argv)],
+        capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == last_line
+    loaded = set(proc.stderr.split())
+    assert "maa.maacore" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 # `python -m maa.cli`, then the child's peak RSS in KiB (Linux VmHWM)

@@ -256,6 +256,20 @@ def test_key_from_hex_validates():
         Key.from_hex("00FF00FF", "123")
 
 
+def test_a_key_is_a_read_only_value_of_its_halves():
+    key = Key(Block.from_int(0x00FF00FF), Block.from_int(0))
+    same = Key.from_hex("00FF00FF", "00000000")
+    assert key == same and hash(key) == hash(same)
+    assert key != Key.from_hex("00FF00FF", "00000001")
+    assert key != (key.J, key.K)
+    assert repr(key) == "Key(J=Block(00FF00FF), K=Block(00000000))"
+    # a cached expansion must never outlive a change of halves
+    for half in ("J", "K"):
+        with pytest.raises(AttributeError):
+            setattr(key, half, Block.from_int(1))
+    assert key == same
+
+
 def test_key_rejects_halves_that_are_not_blocks():
     # caught at construction, not as an AttributeError deep in the core
     with pytest.raises(TypeError):

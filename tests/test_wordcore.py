@@ -27,9 +27,11 @@ def test_bit_adder_truth_table():
 
 def test_negative_operands_are_refused():
     # a negative int's carry word never empties: the adder would spin,
-    # and the multiplier, whose rows it sums, with it
+    # and the multiplier, whose rows it sums, with it; a negative selector
+    # would be read by its low bits, as 5 * 253 or as a 96-bit sum
     for run in (lambda: adder(-1, 1, 0, 32), lambda: adder(1, -1, 0, 32),
-                lambda: multiplier(-3, 5, 8)):
+                lambda: multiplier(-3, 5, 8), lambda: multiplier(5, -3, 8),
+                lambda: multiplier(1, 1, 32, 1 << 64, -1)):
         with pytest.raises(ValueError, match="must not be negative"):
             run()
 
