@@ -421,95 +421,62 @@ def test_bench_exits_1_when_the_cores_disagree(capsys, monkeypatch):
     assert code == 1 and err == "cores disagree\n"
 
 
-def test_console_entry_point(child_env):
-    proc = subprocess.run(
-        [sys.executable, "-m", "maa.cli", "selftest", "--suite", "long",
-         "--core", "native"],
+def _cli_child(child_env, report, *argv):
+    """`python -m maa.cli *argv` in a child; finally, `report` to stderr."""
+    return subprocess.run(
+        [sys.executable, "-c", "import runpy, sys\ntry:\n    runpy.run_module("
+         "'maa.cli', run_name='__main__', alter_sys=True)\nfinally:\n"
+         f"    print({report}, file=sys.stderr)\n", *argv],
         capture_output=True, text=True, env=child_env)
-    assert proc.returncode == 0
-    assert "LONG" in proc.stdout
 
 
-# `python -m maa.cli`, then the names of every module the child loaded
-_CLI_THEN_MODULES = (
-    "import runpy, sys\n"
-    "try:\n"
-    "    runpy.run_module('maa.cli', run_name='__main__', alter_sys=True)\n"
-    "finally:\n"
-    "    print(*sorted(sys.modules), file=sys.stderr)\n")
+_GATE_MODULES = {"maa.wordcore", "maa.maaops", "maa.maacore"}
 
 
-def test_mac_loads_only_the_native_core(child_env):
-    proc = subprocess.run(
-        [sys.executable, "-c", _CLI_THEN_MODULES, "mac", "--key", KEY,
-         "--hex", "55555555AAAAAAAA"],
-        capture_output=True, text=True, env=child_env)
-    assert (proc.returncode, proc.stdout) == (0, "F14D6E28\n")
-    loaded = set(proc.stderr.split())
-    assert {"maa", "maa.nativecore"} <= loaded    # maa.cli ran as __main__
-    assert not loaded & {"maa.wordcore", "maa.maaops", "maa.maacore",
-                         "maa.kat", "dataclasses", "inspect"}
-
-
-def test_native_selftest_loads_no_gate_module(child_env):
-    proc = subprocess.run(
-        [sys.executable, "-c", _CLI_THEN_MODULES, "selftest", "--core",
-         "native"], capture_output=True, text=True, env=child_env)
-    assert proc.returncode == 0
-    assert proc.stdout.endswith("selftest: 263/263 checks passed\n")
-    loaded = set(proc.stderr.split())
-    assert {"maa.nativecore", "maa.kat"} <= loaded
-    assert not loaded & {"maa.wordcore", "maa.maaops", "maa.maacore",
-                         "dataclasses", "inspect"}
-
-
-@pytest.mark.parametrize("argv, last_line", [
-    (["selftest"], "selftest: 526/526 checks passed"),
-    (["selftest", "--core", "gate"], "selftest: 263/263 checks passed"),
-    (["trace", "--key", KEY, "--hex", "55555555AAAAAAAA"], "MAC F14D6E28"),
-    (["scenario", "{script}"], "scenario: 0 passed, 0 failed"),
-], ids=["selftest", "selftest-gate", "trace", "scenario"])
-def test_gate_commands_load_no_dataclasses(argv, last_line, tmp_path,
-                                           child_env):
-    # dataclasses brings inspect, ast, dis, tokenize and more, which no
-    # line of maa uses: about 0.6 MiB of the selftest child's peak RSS
+@pytest.mark.parametrize("argv, last_line, loads, skips", [
+    (["mac", "--key", KEY, "--hex", "55555555AAAAAAAA"], "F14D6E28",
+     {"maa", "maa.nativecore"}, _GATE_MODULES | {"maa.kat"}),
+    (["selftest", "--core", "native"], "selftest: 263/263 checks passed",
+     {"maa.nativecore", "maa.kat"}, _GATE_MODULES),
+    (["selftest"], "selftest: 526/526 checks passed", {"maa.maacore"}, set()),
+    (["selftest", "--core", "gate"], "selftest: 263/263 checks passed",
+     {"maa.maacore"}, set()),
+    (["trace", "--key", KEY, "--hex", "55555555AAAAAAAA"], "MAC F14D6E28",
+     {"maa.maacore"}, set()),
+    (["scenario", "{script}"], "scenario: 0 passed, 0 failed",
+     {"maa.maacore"}, set()),
+], ids=["mac", "selftest-native", "selftest", "selftest-gate", "trace",
+        "scenario"])
+def test_each_command_loads_only_what_it_runs(argv, last_line, loads, skips,
+                                              tmp_path, child_env):
+    # maa.cli runs as __main__, as under `python -m`.  No command loads
+    # dataclasses, which brings inspect, ast, dis, tokenize and more that
+    # no line of maa uses (about 0.6 MiB of the selftest child's peak
+    # RSS); mac and the native selftest load no gate module
     script = tmp_path / "one.scenario"
     script.write_text(f"key {KEY[:8]} {KEY[8:]}\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", _CLI_THEN_MODULES,
-         *(arg.format(script=script) for arg in argv)],
-        capture_output=True, text=True, env=child_env)
-    assert proc.returncode == 0
+    proc = _cli_child(child_env, "*sorted(sys.modules)",
+                      *(arg.format(script=script) for arg in argv))
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == last_line
     loaded = set(proc.stderr.split())
-    assert "maa.maacore" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
-
-
-# `python -m maa.cli`, then the child's peak RSS in KiB (Linux VmHWM)
-_CLI_THEN_PEAK = (
-    "import runpy, sys\n"
-    "try:\n"
-    "    runpy.run_module('maa.cli', run_name='__main__', alter_sys=True)\n"
-    "finally:\n"
-    "    with open('/proc/self/status') as fh:\n"
-    "        print(*[l.split()[1] for l in fh if l.startswith('VmHWM')],\n"
-    "              file=sys.stderr)\n")
+    assert loads <= loaded
+    assert not loaded & (skips | {"dataclasses", "inspect"})
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads VmHWM from Linux /proc")
 def test_mac_memory_does_not_grow_with_the_file(tmp_path, child_env):
     # 2 KiB and 2 MiB files: a MAC that held the file, or its words, would
-    # peak tens of MiB higher on the large one
+    # peak (VmHWM, in KiB) tens of MiB higher on the large one
     peaks = []
     for nbytes in (2 << 10, 2 << 20):
         path = tmp_path / f"{nbytes}.bin"
         path.write_bytes(bytes(range(256)) * (nbytes // 256))
-        proc = subprocess.run(
-            [sys.executable, "-c", _CLI_THEN_PEAK, "mac", "--key", KEY,
-             "--input", str(path)], capture_output=True, text=True,
-            env=child_env)
+        proc = _cli_child(
+            child_env, "__import__('pathlib').Path('/proc/self/status')"
+            ".read_text().split('VmHWM:')[1].split()[0]",
+            "mac", "--key", KEY, "--input", str(path))
         assert proc.returncode == 0 and len(proc.stdout) == 9
         peaks.append(int(proc.stderr))
     assert peaks[1] - peaks[0] < 4 << 10

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maa
-from maa import CORES, kat, maacore, maaops, nativecore
+from maa import CORES, kat, maacore, nativecore
 from maa.maacore import (
     EmptyMessageError, Key, MessageLimitError, SEGMENT_BLOCKS, message_blocks,
 )
@@ -20,41 +20,6 @@ from test_differential import EDGE_VALUES, _padded_words, _strided
 words = st.integers(0, 0xFFFFFFFF)
 
 CORE_MODULES = [kat.core_module(name) for name in CORES]
-
-
-def test_two_block_messages():
-    assert nativecore.mac_values(0x00FF00FF, 0x00000000,
-                                 [0x55555555, 0xAAAAAAAA]) == 0xF14D6E28
-    assert nativecore.mac_values(0x55555555, 0x5A35D667,
-                                 [0xFFFFFFFF, 0x00000000]) == 0xA018C83B
-
-
-@given(words, words)
-def test_multiplications_match_gate(a, b):
-    assert nativecore.mul1(a, b) == maaops.mul1(a, b)
-    assert nativecore.mul2(a, b) == maaops.mul2(a, b)
-    assert nativecore.mul2a(a, b) == maaops.mul2a(a, b)
-
-
-@given(words, words, words, words, words)
-@settings(max_examples=50, deadline=None)
-def test_main_loop_matches_gate(x, y, v, w, m):
-    got = nativecore.main_loop(x, y, v, w, m)
-    want = maacore.main_loop(x, y, v, w, m)
-    assert got == want
-
-
-@given(words, words, words, words, words, words)
-@settings(max_examples=40, deadline=None)
-def test_coda_matches_gate(x, y, v, w, s, t):
-    assert nativecore.coda(x, y, v, w, s, t) == maacore.coda(x, y, v, w, s, t)
-
-
-@given(words, words)
-@settings(max_examples=15, deadline=None)
-def test_prelude_matches_gate(j, k):
-    pre = maacore.prelude(j, k)
-    assert nativecore.prelude(j, k) == pre
 
 
 def _traced_mac(j, k, values):

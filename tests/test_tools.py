@@ -39,7 +39,9 @@ def _bench_pairs():
 
 
 def _runs(*values):
-    return [{"metrics": {"mib_per_s": {"value": v}}} for v in values]
+    # None is a failed run, which reports no metric
+    return [{"metrics": {} if v is None else {"mib_per_s": {"value": v}}}
+            for v in values]
 
 
 METRIC = {"name": "mib_per_s", "better": "higher", "bound": 0.24}
@@ -61,3 +63,21 @@ def test_bench_pairs_compares_two_pairs_with_quartiles():
     assert got["parent_quartiles"] == [2.5, 3.5]
     assert got["gap_exceeds_parent_iqr"] is True
     assert got["within_bound"] is False
+
+
+def test_bench_pairs_compares_no_pair_as_nulls():
+    got = _bench_pairs().compare(METRIC, _runs(2.0, 4.0), _runs(None, None))
+    assert (got.pop("change_better_pairs"), got.pop("bound")) == ("0/0", 0.24)
+    assert set(got.values()) == {None}
+
+
+def test_bench_pairs_refuses_an_empty_seed_range(tmp_path):
+    bench = _bench_pairs()
+    assert bench.seed_range("bulk:9-10") == ("bulk", [9, 10])
+    with pytest.raises(ValueError, match="no seeds in 'reference:10-1'"):
+        bench.seed_range("reference:10-1")
+    # which argparse makes a usage error, before any run
+    with pytest.raises(SystemExit) as info:
+        bench.main([str(tmp_path), str(tmp_path), "--out", "x.json",
+                    "--pairs", "bulk:1-2", "reference:10-1"])
+    assert info.value.code == 2

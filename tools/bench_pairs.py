@@ -19,8 +19,9 @@ command, every run, and for each workload and end-to-end metric: both
 medians, the change's relative move, how many pairs the change won, the
 parent's quartiles, whether the gap between the medians exceeds the
 parent's interquartile range (both null for a workload of one pair),
-and whether the change stays within the metric's bound.  The exit code
-is 1 when any run failed.
+and whether the change stays within the metric's bound.  A metric that
+no pair reports, as when every run of one side failed, has all of these
+null but its bound.  The exit code is 1 when any run failed.
 """
 
 import argparse
@@ -37,7 +38,12 @@ from pathlib import Path
 def seed_range(text):
     workload, _, seeds = text.partition(":")
     first, _, last = seeds.partition("-")
-    return workload, list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        # a ValueError, which argparse reports as a usage error before
+        # any run, not a KeyError after every other workload has run
+        raise ValueError(f"no seeds in {text!r}")
+    return workload, seeds
 
 
 def clean(root):
@@ -66,11 +72,13 @@ def compare(metric, parent, change):
              for a, b in zip(parent, change)
              if name in a["metrics"] and name in b["metrics"]]
     p, c = [a for a, _ in pairs], [b for _, b in pairs]
-    pm, cm = statistics.median(p), statistics.median(c)
+    pm = cm = move = None
+    if pairs:
+        pm, cm = statistics.median(p), statistics.median(c)
+        move = (cm - pm) / pm if pm else 0.0
     # quartiles take two values at least: one pair reports none
     quartiles = (statistics.quantiles(p, n=4, method="inclusive")[::2]
                  if len(p) > 1 else None)
-    move = (cm - pm) / pm if pm else 0.0
     wins = sum((b > a) if higher else (b < a) for a, b in pairs)
     return {"parent_median": pm, "change_median": cm,
             "change_vs_parent": move,
@@ -79,7 +87,8 @@ def compare(metric, parent, change):
             "gap_exceeds_parent_iqr": None if quartiles is None
             else abs(cm - pm) > quartiles[1] - quartiles[0],
             "bound": metric["bound"],
-            "within_bound": (-move if higher else move) <= metric["bound"]}
+            "within_bound": None if move is None
+            else (-move if higher else move) <= metric["bound"]}
 
 
 def main(argv=None):
