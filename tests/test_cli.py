@@ -438,6 +438,9 @@ _GATE_MODULES = {"maa.wordcore", "maa.maaops", "maa.maacore"}
      {"maa", "maa.nativecore"}, _GATE_MODULES | {"maa.kat"}),
     (["selftest", "--core", "native"], "selftest: 263/263 checks passed",
      {"maa.nativecore", "maa.kat"}, _GATE_MODULES),
+    (["selftest", "--suite", "long", "--core", "native"],
+     "selftest: 4/4 checks passed", {"maa.nativecore", "maa.kat"},
+     _GATE_MODULES),
     (["selftest"], "selftest: 526/526 checks passed", {"maa.maacore"}, set()),
     (["selftest", "--core", "gate"], "selftest: 263/263 checks passed",
      {"maa.maacore"}, set()),
@@ -445,8 +448,8 @@ _GATE_MODULES = {"maa.wordcore", "maa.maaops", "maa.maacore"}
      {"maa.maacore"}, set()),
     (["scenario", "{script}"], "scenario: 0 passed, 0 failed",
      {"maa.maacore"}, set()),
-], ids=["mac", "selftest-native", "selftest", "selftest-gate", "trace",
-        "scenario"])
+], ids=["mac", "selftest-native", "selftest-long-native", "selftest",
+        "selftest-gate", "trace", "scenario"])
 def test_each_command_loads_only_what_it_runs(argv, last_line, loads, skips,
                                               tmp_path, child_env):
     # maa.cli runs as __main__, as under `python -m`.  No command loads
