@@ -13,7 +13,7 @@ check_key), through which both cores and the gate core's Block face
 refuse a message alike.  A key half or block value must be an int (bool
 is one, so True is the word 1) from 0 to 2**32-1, else a ValueError
 refuses it before either core sees it.  Every other public name is
-imported from its module on first use (PEP 562).
+imported from its module on first use, then kept here (PEP 562).
 """
 
 import sys
@@ -132,4 +132,5 @@ def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
-    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return globals()[name]

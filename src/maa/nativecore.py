@@ -1,10 +1,10 @@
 """A second, independent MAA implementation on host-machine integers.
 
 Same algorithm as maaops/maacore, re-expressed over plain ints with
-64-bit intermediate products.  It serves two purposes: a fast core for
-real use, and a differential oracle for the gate-level construction
-(and vice versa), on ints only.  Neither core imports the other: the
-input boundary is the package root's, which both import.
+64-bit intermediate products: a fast core for real use, and an oracle
+for the gate-level construction (and vice versa).  It imports nothing
+of the gate core, at any depth: the input boundary is the package
+root's, and native_mac returns the type of the key's halves (Block).
 
 Each end-around carry is one compare-and-subtract, as maaops's case
 split allows, not a % reduction, which may pick the other encoding of a
@@ -204,9 +204,10 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
     return z
 
 
-# kept only because perfbench/run.py times it (ROADMAP.md, item 1b)
+# kept only because perfbench/run.py times it (ROADMAP.md, item 1b); its
+# result is built in the type of the key's halves, which Key makes Blocks
 def native_mac(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
     """Block-typed front door, bit-identical to the gate-level stream."""
-    from .wordcore import Block
+    j, k = key.J, key.K
     values = (b.value for b in blocks)
-    return Block(mac_values(key.J.value, key.K.value, values, limit))
+    return type(j)(mac_values(j.value, k.value, values, limit))

@@ -15,6 +15,7 @@ from maa import CORES, kat, maacore, nativecore
 from maa.maacore import (
     EmptyMessageError, Key, MessageLimitError, SEGMENT_BLOCKS, message_blocks,
 )
+from maa.wordcore import Block
 from test_differential import EDGE_VALUES, _padded_words, _strided
 
 words = st.integers(0, 0xFFFFFFFF)
@@ -47,6 +48,17 @@ def test_mac_values_matches_loop_trace_across_segments(length, j, k, data):
     values = [rng.choice(EDGE_VALUES) if rng.getrandbits(2) == 0
               else rng.getrandbits(32) for _ in range(n)]
     assert nativecore.mac_values(j, k, values) == _traced_mac(j, k, values)
+
+
+def test_native_mac_returns_a_block():
+    # perfbench reads .value, which the differential machine's _outcome
+    # does not require: it unwraps a Block and passes an int through
+    key = Key.from_hex("E6A12F07", "9D15C437")
+    values = [(i * 0x9E3779B9) & 0xFFFFFFFF for i in range(300)]
+    got = nativecore.native_mac(key, map(Block, values))
+    assert type(got) is Block
+    assert got.value == nativecore.mac_values(key.J.value, key.K.value,
+                                              values)
 
 
 @pytest.mark.parametrize("limit", [0, -3])

@@ -52,6 +52,14 @@ def test_public_names_resolve_to_their_modules():
         exec("from maa import nope", {})
 
 
+@pytest.mark.parametrize("name", sorted(maa._LAZY))
+def test_a_resolved_name_is_kept_at_the_root(monkeypatch, name):
+    # __getattr__ runs once per name: the first access stores it
+    monkeypatch.delitem(vars(maa), name, raising=False)
+    value = getattr(maa, name)
+    assert vars(maa)[name] is value
+
+
 def test_both_cores_share_the_boundary():
     # both cores read, check and refuse input through the root's names
     for name in ("LIMIT_BELOW_ONE", "MESSAGE_BLOCK_LIMIT", "check_key",

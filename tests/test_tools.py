@@ -2,6 +2,7 @@
 under, and tools/bench_pairs.py's comparison of two checkouts."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +82,30 @@ def test_bench_pairs_refuses_an_empty_seed_range(tmp_path):
         bench.main([str(tmp_path), str(tmp_path), "--out", "x.json",
                     "--pairs", "bulk:1-2", "reference:10-1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("setting, recorded", [(None, False), ("", False),
+                                               ("1", True)])
+def test_bench_pairs_records_the_bytecode_cache_setting(
+        tmp_path, monkeypatch, setting, recorded):
+    # a checkout whose run.py reports one metric, and the setting it saw
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, os\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, "
+        "'metrics': {'mib_per_s': {'value': 1.0}}, "
+        "'seen': os.environ.get('PYTHONDONTWRITEBYTECODE')}))\n")
+    (tmp_path / "BENCHMARK.json").write_text(
+        f'{{"run_seconds": 1, "end_to_end": [{json.dumps(METRIC)}]}}')
+    if setting is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", setting)
+    out = tmp_path / "out.json"
+    assert _bench_pairs().main([str(tmp_path), str(tmp_path), "--out",
+                                str(out), "--pairs", "bulk:1"]) == 0
+    report = json.loads(out.read_text())
+    assert report["dont_write_bytecode"] is recorded
+    # recorded only: both runs get the environment as it is
+    assert [r["seen"] for side in ("parent", "change")
+            for r in report[side]["bulk"]] == [setting, setting]

@@ -217,6 +217,25 @@ def test_gate_modules_use_no_host_arithmetic(module):
     assert _host_arithmetic(tree) == []
 
 
+def _imported_names(tree):
+    """Each dotted part that an import, at any depth, names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names
+
+
+def test_native_core_imports_nothing_of_the_gate_core():
+    # the two cores stay independent: nativecore reaches the gate core
+    # through no import, not even one inside a function
+    tree = ast.parse(Path(nativecore.__file__).read_text())
+    assert _imported_names(tree) & {"wordcore", "maaops", "maacore"} == set()
+
+
 # maacore's phases, and message_blocks, which leaves the padding to the
 # root's words; MacStream and mac_message keep their block counters and
 # byte counts outside the rule

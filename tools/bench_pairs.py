@@ -14,8 +14,10 @@ even ones, so that a drift of the machine's speed falls on both sides.
 Before every run it deletes the checkout's `__pycache__` directories
 and its `.perfbench` directory, so that no run reuses another's files.
 
-The JSON written to --out holds the Python version, `nproc`, this
-command, every run, and for each workload and end-to-end metric: both
+The JSON written to --out holds the Python version, `nproc`, whether
+PYTHONDONTWRITEBYTECODE is set (non-empty: then no child writes a
+bytecode cache, and each compiles `maa` from source), this command,
+every run, and for each workload and end-to-end metric: both
 medians, the change's relative move, how many pairs the change won, the
 parent's quartiles, whether the gap between the medians exceeds the
 parent's interquartile range (both null for a workload of one pair),
@@ -117,6 +119,8 @@ def main(argv=None):
     report = {
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
+        # recorded, not changed: the runs get the environment as it is
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "command": "python3 tools/bench_pairs.py " + " ".join(
             sys.argv[1:] if argv is None else argv),
         "parent": runs["parent"], "change": runs["change"],
