@@ -18,7 +18,7 @@ imported from its module on first use, then kept here (PEP 562).
 
 import sys
 from array import array
-from itertools import islice
+from itertools import chain, islice
 
 __version__ = "0.1.0"
 
@@ -29,8 +29,8 @@ LIMIT_BELOW_ONE = "block limit must be at least 1"
 
 SEGMENT_BLOCKS = 256
 
-# words holds at most this many bytes of words beyond its chunk, so a
-# caller that keeps every word (message_blocks) keeps no second payload
+# words reads a chunk this many bytes at a time, so message_blocks, which
+# keeps every word in one array built run by run, holds no second payload
 _RUN_BYTES = 64 << 10
 
 NOT_AN_INT = "key halves and block values must be ints"
@@ -74,12 +74,8 @@ def check_key(j, k):
     _check_words((j, k), "key halves")
 
 
-def words(chunks):
-    """Big-endian 32-bit words of any bytes-like chunks of any size, each
-    read by its bytes (one that is not C-contiguous is copied first), a
-    run of up to _RUN_BYTES at a time through one array("I"), byteswapped
-    on a little-endian host.  Up to three bytes carry over into the next
-    chunk, and a short tail is zero-padded on the right."""
+def _runs(chunks):
+    """words' reader: its array("I") runs, then the padded tail's 1-tuple."""
     carry = b""
     for chunk in chunks:
         view = memoryview(chunk)
@@ -87,16 +83,24 @@ def words(chunks):
             view = memoryview(carry + view.tobytes())
         view = view.cast("B")
         cut = len(view) - len(view) % 4
-        i = 0
-        while i < cut:
-            run = array("I", view[i:min(i + _RUN_BYTES, cut)].tobytes())
+        for i in range(0, cut, _RUN_BYTES):
+            run = array("I")
+            run.frombytes(view[i:min(i + _RUN_BYTES, cut)])
             if sys.byteorder == "little":
                 run.byteswap()
-            yield from run
-            i += _RUN_BYTES
+            yield run
         carry = view[cut:].tobytes()
     if carry:
-        yield int.from_bytes(carry.ljust(4, b"\0"), "big")
+        yield (int.from_bytes(carry.ljust(4, b"\0"), "big"),)
+
+
+def words(chunks):
+    """Big-endian 32-bit words of any bytes-like chunks of any size, each
+    read by its bytes (one that is not C-contiguous is copied first), a
+    run of up to _RUN_BYTES at a time through one array("I"), byteswapped
+    on a little-endian host.  Up to three bytes carry over into the next
+    chunk, and a short tail is zero-padded on the right."""
+    return chain.from_iterable(_runs(chunks))
 
 
 def segments(values, limit):

@@ -20,17 +20,18 @@ It and mac_message feed MacStream's int step whole segments that the
 root's segments has checked, with no Block and no push; MacStream
 restarts the registers at every segment, cycle by cycle.  Bytes become
 words only in the root's words: mac_message reads its payload there,
-and message_blocks is its Block face.
+and message_blocks keeps its runs in one array("I"), read as Blocks.
 
 The input boundary and the errors of a refused message are the package
 root's, shared with nativecore; this core imports nothing of the other.
 """
 
+from array import array
 from functools import cached_property
 
 from . import EmptyMessageError, MessageLimitError, SEGMENT_BLOCKS, check_key
 from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, _check_words, segments
-from . import words
+from . import _runs, words
 from .wordcore import MASK32, Block, add_block, adder, multiplier
 from .maaops import byt, cyc, mul1, mul2, mul2a, pat, q
 
@@ -64,6 +65,11 @@ class Key:
     @cached_property
     def _expanded(self):
         return prelude(self.J.value, self.K.value)
+
+
+def _expect_key(key):
+    if not isinstance(key, Key):
+        raise TypeError(f"expected a Key, got {type(key).__name__}")
 
 
 # (or1, and1, or2, and2): OR then AND ahead of MUL1 and MUL2A, so that no
@@ -188,8 +194,7 @@ class MacStream:
     def __init__(self, key, limit=MESSAGE_BLOCK_LIMIT):
         if limit < 1:
             raise ValueError(LIMIT_BELOW_ONE)
-        if not isinstance(key, Key):
-            raise TypeError(f"expected a Key, got {type(key).__name__}")
+        _expect_key(key)
         self.limit = limit
         self._pre = key._expanded
         self.prelude = tuple(map(Block, self._pre))
@@ -240,19 +245,43 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
     return stream.mac().value
 
 
+class MessageBlocks:
+    """A read-only sequence of Blocks over one array("I") of words, values."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values
+
+    def __len__(self):
+        return len(self.values)
+
+    def __iter__(self):
+        return map(Block, self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(Block, self.values[i]))
+        return Block(self.values[i])
+
+
 def message_blocks(payload):
-    """A bytes-like payload's words, as the root's words reads them, each
-    in a Block; an empty payload raises EmptyMessageError."""
-    blocks = list(map(Block, words((payload,))))
-    if not blocks:
+    """A bytes-like payload's words, as the root's words reads them, in one
+    array built from its runs; an empty payload raises EmptyMessageError."""
+    values = array("I")
+    for run in _runs((payload,)):
+        values.extend(run)
+    if not values:
         raise EmptyMessageError()
-    return blocks
+    return MessageBlocks(values)
 
 
 def mac_message(key, payload, limit=MESSAGE_BLOCK_LIMIT):
-    """MAC of a bytes-like payload; one over the limit fails before work."""
+    """MAC of a bytes-like payload; a bad key or size fails before work."""
     if limit < 1:
         raise ValueError(LIMIT_BELOW_ONE)
+    _expect_key(key)
+    check_key(key.J.value, key.K.value)
     size = memoryview(payload).nbytes
     if limit < (size + 3) // 4:
         raise MessageLimitError(limit)

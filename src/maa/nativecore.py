@@ -4,7 +4,8 @@ Same algorithm as maaops/maacore, re-expressed over plain ints with
 64-bit intermediate products: a fast core for real use, and an oracle
 for the gate-level construction (and vice versa).  It imports nothing
 of the gate core, at any depth: the input boundary is the package
-root's, and native_mac returns the type of the key's halves (Block).
+root's, and native_mac returns the type of the key's halves (Block) and
+folds message_blocks' array("I") of words, its values, as it is.
 
 Each end-around carry is one compare-and-subtract, as maaops's case
 split allows, not a % reduction, which may pick the other encoding of a
@@ -25,6 +26,7 @@ its six H words from the tuple it returns, and power_chain builds the
 corpus's PRELUDE_CHAIN record from the same tuple, for the corpus only.
 """
 
+from array import array
 from itertools import cycle
 
 from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, check_key, segments
@@ -204,10 +206,12 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
     return z
 
 
-# kept only because perfbench/run.py times it (ROADMAP.md, item 1b); its
-# result is built in the type of the key's halves, which Key makes Blocks
+# kept only because perfbench/run.py times it (ROADMAP.md, item 1b): it folds
+# message_blocks' array as it is, and returns the key halves' type (Block)
 def native_mac(key, blocks, limit=MESSAGE_BLOCK_LIMIT):
     """Block-typed front door, bit-identical to the gate-level stream."""
     j, k = key.J, key.K
-    values = (b.value for b in blocks)
+    values = getattr(blocks, "values", None)
+    if type(values) is not array or values.typecode != "I":
+        values = (b.value for b in blocks)
     return type(j)(mac_values(j.value, k.value, values, limit))

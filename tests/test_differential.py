@@ -6,8 +6,9 @@ core's MacStream: a few words at a time, across segment boundaries, past
 the limit, as non-words, and ended on 1-3 bytes.  The native core's
 mac_values on the words taken is the oracle: for the stream after every
 step, for each refusal, and, when the message ends, for every byte path
-on its bytes, cut into each buffer kind.  words, which both cores share,
-is held to a struct read.
+on its bytes, cut into each buffer kind, and for native_mac on
+message_blocks' array.  words, which both cores share, is held to a
+struct read.
 """
 
 import random
@@ -178,6 +179,10 @@ class DifferentialMachine(RuleBasedStateMachine):
                         limit) == want
         assert _outcome(nativecore.native_mac, key, map(Block, values),
                         limit) == want
+        # and on message_blocks' array of the whole message's words
+        for buf in (data, bytearray(data), _strided(data)):
+            assert _outcome(lambda: nativecore.native_mac(
+                key, maacore.message_blocks(buf), limit)) == want
         for kind, convert in _BUFFERS.items():
             for split in ([data], chunks):
                 buffers = [b for chunk in split for b in convert(chunk)]

@@ -1,6 +1,7 @@
 """Prelude, main loop, segmentation, and the streaming front end."""
 
 import random
+import tracemalloc
 from array import array
 from collections import Counter
 
@@ -146,6 +147,38 @@ def test_message_blocks_pads_with_zero_bytes():
         message_blocks(b"")
 
 
+@pytest.mark.parametrize("size", [*range(1, 10), 1025])
+def test_message_blocks_reads_as_a_list_of_blocks(size):
+    payload = random.Random(size).randbytes(size)
+    want = list(map(Block, maa.words((payload,))))
+    blocks = message_blocks(payload)
+    assert len(blocks) == len(want) and list(blocks) == want
+    assert [blocks[i] for i in range(-len(want), len(want))] == want + want
+    for cut in (slice(None), slice(1, None), slice(-2, None), slice(None, -1),
+                slice(None, None, -1), slice(1, 5, 2), slice(3, 1)):
+        assert blocks[cut] == want[cut], cut
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            blocks[i]
+    # read-only: the words of a message cannot be swapped under a MAC
+    with pytest.raises(TypeError):
+        blocks[0] = Block(0)
+
+
+def test_message_blocks_holds_one_array_of_words():
+    # a Block per word held 19.96 MiB for one MiB; an array of its words
+    # holds one, plus its growth and a run of words in flight
+    payload = random.Random(3).randbytes(1 << 20)
+    tracemalloc.start()
+    try:
+        blocks = message_blocks(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 1 << 18
+    assert peak < 2 << 20, peak
+
+
 def test_mac_message_refuses_an_over_limit_payload_before_any_work(spy):
     key = Key.from_hex("80018001", "80018000")
     limit = 3
@@ -206,15 +239,18 @@ def test_mac_values_checks_each_word_once(spy):
         (maa, "_check_words"), (maacore, "_check_words"),
         (maacore, "main_loop"), (maacore, "message_blocks"),
         (MacStream, "push"))]
-    # 600 steps, a restart and two coda steps at each of two segment
-    # starts, and the final coda's two
-    once = {"_check_words": 4, "main_loop": 608}
-    for run in (lambda: maacore.mac_values(1, 2, values),
-                lambda: mac_message(Key(Block(1), Block(2)), payload).value):
+    # one check per segment and one of the key halves in the prelude;
+    # mac_message checks the halves once more, before it sizes the
+    # payload.  600 steps, a restart and two coda steps at each of two
+    # segment starts, and the final coda's two
+    for run, checks in ((lambda: maacore.mac_values(1, 2, values), 4),
+                        (lambda: mac_message(Key(Block(1), Block(2)),
+                                             payload).value, 5)):
         for _, calls in spied:
             calls.clear()
         assert run() == want
-        assert Counter(name for name, calls in spied for _ in calls) == once
+        assert Counter(name for name, calls in spied for _ in calls) == \
+            {"_check_words": checks, "main_loop": 608}
 
 
 def test_push_rejects_blocks_that_are_not_blocks():
@@ -238,15 +274,29 @@ def test_push_rejects_blocks_that_are_not_blocks():
 
 
 def test_streams_reject_keys_that_are_not_keys():
-    # caught at the boundary, before the prelude reads key.J
+    # caught at the boundary, before the prelude reads key.J, and by
+    # mac_message before it sizes the payload: the key comes before an
+    # over-limit or an empty message, as the root orders its refusals
     block = Block.from_int(1)
     for bad in (("a", "b"), None, 5, [block, block]):
         name = type(bad).__name__
         for run in (lambda: MacStream(bad),
                     lambda: mac_blocks(bad, [block]),
-                    lambda: mac_message(bad, b"abcd")):
+                    lambda: mac_message(bad, b"abcd"),
+                    lambda: mac_message(bad, b""),
+                    lambda: mac_message(bad, bytes(16), limit=3)):
             with pytest.raises(TypeError, match=f"expected a Key, got {name}"):
                 run()
+    # a Key whose halves are no words is refused as mac_values refuses
+    # them; EmptyMessageError and MessageLimitError are ValueErrors too
+    with pytest.raises(ValueError) as want:
+        maacore.mac_values(2**40, 2, [])
+    key = Key(Block(2**40), Block(2))
+    for payload, limit in ((b"", 3), (bytes(16), 3), (b"abcd", 3)):
+        with pytest.raises(ValueError) as got:
+            mac_message(key, payload, limit=limit)
+        assert type(got.value) is ValueError, payload
+        assert str(got.value) == str(want.value), payload
 
 
 def test_key_from_hex_validates():

@@ -61,6 +61,52 @@ def test_native_mac_returns_a_block():
                                               values)
 
 
+@pytest.mark.parametrize("count", [255, 256, 257])
+@pytest.mark.parametrize("short", [0, 1, 2, 3])
+def test_native_mac_folds_message_blocks_as_the_generic_path(count, short):
+    # message_blocks' array goes to mac_values as it is; a map of Blocks
+    # takes the generic path; both are mac_values on the words read
+    payload = random.Random(count + short).randbytes(4 * count - short)
+    key = Key.from_hex("E6A12F07", "9D15C437")
+    want = nativecore.mac_values(key.J.value, key.K.value,
+                                 maa.words((payload,)))
+    blocks = message_blocks(payload)
+    assert type(blocks.values) is array and len(blocks) == count
+    for given in (blocks, map(Block, maa.words((payload,)))):
+        got = nativecore.native_mac(key, given)
+        assert type(got) is Block and got.value == want
+
+
+def test_native_mac_refuses_an_over_limit_array_before_any_fold(spy):
+    key = Key.from_hex("00000001", "00000002")
+    calls = spy(nativecore, "_fold")
+    # positive control: the patch sees the work of an accepted message
+    nativecore.native_mac(key, message_blocks(bytes(4 * 300)), limit=300)
+    assert calls
+    calls.clear()
+    with pytest.raises(MessageLimitError):
+        nativecore.native_mac(key, message_blocks(bytes(4 * 300 + 1)),
+                              limit=300)
+    assert calls == []
+
+
+class _Listed(list):
+    """Blocks whose values attribute is not message_blocks' array."""
+
+
+@pytest.mark.parametrize("values", [[5, 6], array("L", [5, 6]),
+                                    type("Sub", (array,), {})("I", [5, 6])],
+                         ids=["list", "array-L", "array-subclass"])
+def test_native_mac_reads_other_values_through_the_blocks(values):
+    # only an array("I") itself is taken as the words; anything else is
+    # read block by block, whatever its values attribute holds
+    blocks = _Listed([Block(1), Block(2), Block(3)])
+    blocks.values = values
+    key = Key.from_hex("00000001", "00000002")
+    assert nativecore.native_mac(key, blocks).value == \
+        nativecore.mac_values(1, 2, [1, 2, 3])
+
+
 @pytest.mark.parametrize("limit", [0, -3])
 def test_both_cores_refuse_a_limit_below_one_alike(limit):
     def unread():

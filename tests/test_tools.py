@@ -3,6 +3,7 @@ under, and tools/bench_pairs.py's comparison of two checkouts."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -84,28 +85,98 @@ def test_bench_pairs_refuses_an_empty_seed_range(tmp_path):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("setting, recorded", [(None, False), ("", False),
-                                               ("1", True)])
-def test_bench_pairs_records_the_bytecode_cache_setting(
-        tmp_path, monkeypatch, setting, recorded):
-    # a checkout whose run.py reports one metric, and the setting it saw
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text(
+def _stub_checkout(root, cli_exit=0):
+    """A checkout whose run.py reports one metric and the bytecode setting
+    it saw, and whose `maa.cli` exits with cli_exit; where CLI_LOG names a
+    file, it appends its checkout, argv, PYTHONPATH and input size."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
         "import json, os\n"
         "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, "
         "'metrics': {'mib_per_s': {'value': 1.0}}, "
         "'seen': os.environ.get('PYTHONDONTWRITEBYTECODE')}))\n")
-    (tmp_path / "BENCHMARK.json").write_text(
+    (root / "BENCHMARK.json").write_text(
         f'{{"run_seconds": 1, "end_to_end": [{json.dumps(METRIC)}]}}')
+    (root / "src" / "maa").mkdir(parents=True)
+    (root / "src" / "maa" / "__init__.py").write_text("")
+    (root / "src" / "maa" / "cli.py").write_text(
+        "import json, os, sys\n"
+        "if 'CLI_LOG' in os.environ:\n"
+        "    size = os.path.getsize(sys.argv[-1]) if sys.argv[1] == 'mac' "
+        "else None\n"
+        "    with open(os.environ['CLI_LOG'], 'a') as f:\n"
+        f"        print(json.dumps([{root.name!r}, sys.argv[1:], "
+        "os.environ['PYTHONPATH'], size]), file=f)\n"
+        f"sys.exit({cli_exit})\n")
+    return root
+
+
+@pytest.mark.parametrize("setting, recorded", [(None, False), ("", False),
+                                               ("1", True)])
+def test_bench_pairs_records_the_bytecode_cache_setting(
+        tmp_path, monkeypatch, setting, recorded):
+    bench = _bench_pairs()
+    monkeypatch.setattr(bench, "RAW_CHILDREN", 2)
+    _stub_checkout(tmp_path)
     if setting is None:
         monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     else:
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", setting)
     out = tmp_path / "out.json"
-    assert _bench_pairs().main([str(tmp_path), str(tmp_path), "--out",
-                                str(out), "--pairs", "bulk:1"]) == 0
+    assert bench.main([str(tmp_path), str(tmp_path), "--out", str(out),
+                       "--pairs", "bulk:1"]) == 0
     report = json.loads(out.read_text())
     assert report["dont_write_bytecode"] is recorded
     # recorded only: both runs get the environment as it is
     assert [r["seen"] for side in ("parent", "change")
             for r in report[side]["bulk"]] == [setting, setting]
+
+
+def test_bench_pairs_times_raw_cli_children_on_each_side(
+        tmp_path, monkeypatch):
+    # after the pairs: per command, one warm-up child per side, then
+    # RAW_CHILDREN children alternating between the sides, each with its
+    # side's src first on PYTHONPATH
+    bench = _bench_pairs()
+    monkeypatch.setattr(bench, "RAW_CHILDREN", 3)
+    log = tmp_path / "calls"
+    monkeypatch.setenv("CLI_LOG", str(log))
+    sides = {side: _stub_checkout(tmp_path / side).resolve()
+             for side in ("parent", "change")}
+    out = tmp_path / "out.json"
+    assert bench.main([str(sides["parent"]), str(sides["change"]), "--out",
+                       str(out), "--pairs", "bulk:1"]) == 0
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    order = ["parent", "change", "change", "parent", "parent", "change",
+             "change", "parent"]
+    assert [side for side, *_ in calls] == order + order
+    assert [argv[0] for _, argv, _, _ in calls] == ["selftest"] * 8 + \
+        ["mac"] * 8
+    assert calls[0][1] == ["selftest", "--core", "both"]
+    assert calls[-1][1][:2] == ["mac", "--key"]
+    assert calls[-1][1][3] == "--input" and calls[-1][3] == 2048
+    for side, _, path, _ in calls:
+        assert path.split(os.pathsep)[0] == str(sides[side] / "src")
+    raw = json.loads(out.read_text())["raw_children"]
+    assert set(raw) == {"selftest", "mac"}
+    for times in raw.values():
+        assert times["change_faster_pairs"].endswith("/3")
+        for side in sides:
+            runs = times[side]["runs_s"]
+            assert len(runs) == 3 and all(t > 0 for t in runs)
+            assert times[side]["median_s"] == sorted(runs)[1]
+            q1, q3 = times[side]["quartiles_s"]
+            assert q1 <= times[side]["median_s"] <= q3
+
+
+def test_bench_pairs_fails_when_a_cli_child_fails(tmp_path, monkeypatch):
+    # the report is still written, and the command exits 1
+    bench = _bench_pairs()
+    monkeypatch.setattr(bench, "RAW_CHILDREN", 2)
+    parent = _stub_checkout(tmp_path / "parent")
+    change = _stub_checkout(tmp_path / "change", cli_exit=1)
+    out = tmp_path / "out.json"
+    assert bench.main([str(parent), str(change), "--out", str(out),
+                       "--pairs", "bulk:1"]) == 1
+    assert set(json.loads(out.read_text())["raw_children"]) == {"selftest",
+                                                                "mac"}

@@ -23,18 +23,34 @@ parent's quartiles, whether the gap between the medians exceeds the
 parent's interquartile range (both null for a workload of one pair),
 and whether the change stays within the metric's bound.  A metric that
 no pair reports, as when every run of one side failed, has all of these
-null but its bound.  The exit code is 1 when any run failed.
+null but its bound.
+
+After the pairs, `raw_children` times the two CLI commands that
+run.py's `cli_mac_s` and `selftest_s` time, in fresh children with the
+side's `src` first on PYTHONPATH: `python -m maa.cli selftest --core
+both`, and `python -m maa.cli mac --key ... --input` on a seeded 2 KiB
+file.  Per command, each side runs one uncounted warm-up child, then
+RAW_CHILDREN children alternate between the sides.  Their wall times
+are raw, with no speed factor: each side's median, quartiles and
+times, and how many of the alternating pairs the change won.  The exit
+code is 1 when any run failed or any child exited non-zero.
 """
 
 import argparse
 import json
 import os
 import platform
+import random
 import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+
+# fresh CLI children per side and command, after one uncounted warm-up
+RAW_CHILDREN = 21
 
 
 def seed_range(text):
@@ -67,6 +83,10 @@ def run_once(root, workload, seed, seconds):
     return result
 
 
+def quartiles(values):
+    return statistics.quantiles(values, n=4, method="inclusive")[::2]
+
+
 def compare(metric, parent, change):
     """One end-to-end metric over the pairs where both runs report it."""
     higher, name = metric["better"] == "higher", metric["name"]
@@ -79,18 +99,56 @@ def compare(metric, parent, change):
         pm, cm = statistics.median(p), statistics.median(c)
         move = (cm - pm) / pm if pm else 0.0
     # quartiles take two values at least: one pair reports none
-    quartiles = (statistics.quantiles(p, n=4, method="inclusive")[::2]
-                 if len(p) > 1 else None)
+    parent_quartiles = quartiles(p) if len(p) > 1 else None
     wins = sum((b > a) if higher else (b < a) for a, b in pairs)
     return {"parent_median": pm, "change_median": cm,
             "change_vs_parent": move,
             "change_better_pairs": f"{wins}/{len(p)}",
-            "parent_quartiles": quartiles,
-            "gap_exceeds_parent_iqr": None if quartiles is None
-            else abs(cm - pm) > quartiles[1] - quartiles[0],
+            "parent_quartiles": parent_quartiles,
+            "gap_exceeds_parent_iqr": None if parent_quartiles is None
+            else abs(cm - pm) > parent_quartiles[1] - parent_quartiles[0],
             "bound": metric["bound"],
             "within_bound": None if move is None
             else (-move if higher else move) <= metric["bound"]}
+
+
+def cli_child(root, args):
+    """(wall seconds, exit code) of `python -m maa.cli *args` run in root,
+    with root's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "maa.cli", *args],
+                          cwd=root, env=env, capture_output=True)
+    return time.perf_counter() - t0, proc.returncode
+
+
+def raw_children(sides, commands):
+    """({command: each side's raw wall times, and the change's wins}, whether
+    every child, warm-ups included, exited 0)."""
+    report, ok = {}, True
+    for name, args in commands.items():
+        times = {side: [] for side in sides}
+        for root in sides.values():
+            clean(root)
+            ok &= cli_child(root, args)[1] == 0  # warm-up, not counted
+        for i in range(RAW_CHILDREN):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            for side in order:
+                wall, code = cli_child(sides[side], args)
+                ok &= code == 0
+                times[side].append(wall)
+        print(f"raw {name}: " + ", ".join(
+            f"{side} {statistics.median(t):.4f} s" for side, t in
+            times.items()), flush=True)
+        report[name] = {side: {"median_s": statistics.median(t),
+                               "quartiles_s": quartiles(t), "runs_s": t}
+                        for side, t in times.items()}
+        report[name]["change_faster_pairs"] = "{}/{}".format(
+            sum(c < p for p, c in zip(times["parent"], times["change"])),
+            RAW_CHILDREN)
+    return report, ok
 
 
 def main(argv=None):
@@ -116,6 +174,14 @@ def main(argv=None):
                       f"{result['exit']}, failed {result['failed']}/"
                       f"{result['attempted']}", flush=True)
 
+    with tempfile.TemporaryDirectory() as tmp:
+        message = Path(tmp) / "message.bin"
+        message.write_bytes(random.Random(2048).randbytes(2048))
+        raw, raw_ok = raw_children(sides, {
+            "selftest": ["selftest", "--core", "both"],
+            "mac": ["mac", "--key", "00FF00FF00000000", "--input",
+                    str(message)]})
+
     report = {
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
@@ -132,10 +198,11 @@ def main(argv=None):
             sum(r["failed"] for r in runs[side][w]),
             sum(r["attempted"] for r in runs[side][w])) for side in sides}
             for w, _ in args.pairs},
+        "raw_children": raw,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0 if all(r["exit"] == 0 for side in runs.values()
-                    for rs in side.values() for r in rs) else 1
+    return 0 if raw_ok and all(r["exit"] == 0 for side in runs.values()
+                               for rs in side.values() for r in rs) else 1
 
 
 if __name__ == "__main__":
