@@ -180,3 +180,26 @@ def test_bench_pairs_fails_when_a_cli_child_fails(tmp_path, monkeypatch):
                        "--pairs", "bulk:1"]) == 1
     assert set(json.loads(out.read_text())["raw_children"]) == {"selftest",
                                                                 "mac"}
+
+
+def test_bench_pairs_counts_a_cut_json_line_as_a_failed_run(
+        tmp_path, monkeypatch):
+    # a child killed mid-print leaves a last line that starts with "{" but
+    # is not JSON: that run failed, and the report is still written
+    bench = _bench_pairs()
+    monkeypatch.setattr(bench, "RAW_CHILDREN", 2)
+    parent = _stub_checkout(tmp_path / "parent")
+    change = _stub_checkout(tmp_path / "change")
+    (change / "perfbench" / "run.py").write_text(
+        "import os, signal\n"
+        "print('{\"correct\": tr', flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n")
+    out = tmp_path / "out.json"
+    assert bench.main([str(parent), str(change), "--out", str(out),
+                       "--pairs", "bulk:1"]) == 1
+    report = json.loads(out.read_text())
+    assert report["change"]["bulk"] == [
+        {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
+         "seed": 1, "exit": -9}]
+    assert report["parent"]["bulk"][0]["correct"] is True
+    assert report["comparison"]["bulk"]["mib_per_s"]["change_median"] is None

@@ -21,8 +21,10 @@ every run, and for each workload and end-to-end metric: both
 medians, the change's relative move, how many pairs the change won, the
 parent's quartiles, whether the gap between the medians exceeds the
 parent's interquartile range (both null for a workload of one pair),
-and whether the change stays within the metric's bound.  A metric that
-no pair reports, as when every run of one side failed, has all of these
+and whether the change stays within the metric's bound.  A run whose
+last line is not a JSON object, as when it printed nothing or was killed
+mid-line, counts as failed and reports no metric.  A metric that no
+pair reports, as when every run of one side failed, has all of these
 null but its bound.
 
 After the pairs, `raw_children` times the two CLI commands that
@@ -76,9 +78,13 @@ def run_once(root, workload, seed, seconds):
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") \
-        else {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    last = proc.stdout.strip().rpartition("\n")[2]
+    try:
+        result = json.loads(last) if last.startswith("{") else None
+    except ValueError:  # a line cut short, as by a child killed mid-print
+        result = None
+    result = result or {"correct": False, "attempted": 0, "failed": 0,
+                        "metrics": {}}
     result.update(seed=seed, exit=proc.returncode)
     return result
 
