@@ -8,15 +8,13 @@ parse errors), 141 the reader closed stdout before the output ended
 
 import argparse
 import os
-import random
 import stat
 import struct
 import sys
-import time
 from itertools import chain
 
 from . import CORES, EmptyMessageError, MessageLimitError, SUITES
-from . import MESSAGE_BLOCK_LIMIT, nativecore, words
+from . import MESSAGE_BLOCK_LIMIT, words
 
 _SUITE_FLAGS = {s.lower().replace("_", ""): s for s in (*SUITES, "ALL")}
 
@@ -68,6 +66,7 @@ def _chunks(args):
 
 
 def cmd_mac(args):
+    from . import nativecore
     z = nativecore.mac_values(*_parse_key(args.key), words(_chunks(args)))
     print(f"{z:08X}")
     return 0
@@ -122,7 +121,7 @@ def cmd_selftest(args):
         print(json.dumps({
             "passed": passed, "failed": len(failures), "suites": counts,
             "failures": [c._asdict() for c in failures], "notes": notes,
-            "corpus_sha256": hashlib.sha256(kat.CORPUS.read_bytes())
+            "corpus_sha256": hashlib.sha256(kat.corpus_bytes())
             .hexdigest()}, indent=1))
     return 0 if not failures else 1
 
@@ -227,6 +226,7 @@ def cmd_scenario(args):
 
 
 def cmd_bench(args):
+    import random, time
     from . import kat
     if args.blocks < 1:
         raise _UsageError("--blocks wants a positive count")

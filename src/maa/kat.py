@@ -28,8 +28,9 @@ Suites:
   LONG     whole-message MACs up to 4100 blocks
 """
 
+import os
 from collections import namedtuple
-from importlib import import_module, resources
+from importlib import import_module
 
 from . import CORES, SUITES
 
@@ -76,8 +77,13 @@ class SuiteReport(namedtuple("SuiteReport", "suite core checks notes")):
         return [c for c in self.checks if not c.ok]
 
 
-CORPUS = resources.files("maa").joinpath("vectors.txt")
 _RECORDS = None
+
+
+def corpus_bytes():
+    """vectors.txt's bytes, by this module's loader: a directory or a zip."""
+    return __spec__.loader.get_data(
+        os.path.join(os.path.dirname(__file__), "vectors.txt"))
 
 
 def _pairs(field):
@@ -93,7 +99,7 @@ def load_vectors():
     """
     global _RECORDS
     if _RECORDS is None:
-        text = CORPUS.read_text("ascii")
+        text = corpus_bytes().decode("ascii")
         rows = [line.split() for line in text.splitlines()]
         _RECORDS = [VectorRecord(*f[:3], _pairs(f[3]), _pairs(f[4]))
                     for f in rows if f and not f[0].startswith("#")]

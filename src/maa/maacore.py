@@ -29,7 +29,8 @@ root's, shared with nativecore; this core imports nothing of the other.
 from array import array
 from functools import cached_property
 
-from . import EmptyMessageError, MessageLimitError, SEGMENT_BLOCKS, check_key
+import maa
+from . import EmptyMessageError, MessageLimitError, check_key
 from . import LIMIT_BELOW_ONE, MESSAGE_BLOCK_LIMIT, _check_words, segments
 from . import _runs, words
 from .wordcore import MASK32, Block, add_block, adder, multiplier
@@ -186,9 +187,10 @@ class MacStream:
     push() absorbs one block and returns the registers; mac() is the MAC
     of everything pushed so far.  Both, and the prelude attribute, are
     Blocks; the state inside is the core's ints.  At every nonzero
-    multiple of SEGMENT_BLOCKS a new segment starts: the registers
-    restart from (X0, Y0, V0) and absorb the previous segment's MAC
-    before the block.  The key is consulted only at construction.
+    multiple of maa.SEGMENT_BLOCKS, read at each push as segments reads
+    it, a new segment starts: the registers restart from (X0, Y0, V0)
+    and absorb the previous segment's MAC before the block.  The key is
+    consulted only at construction.
     """
 
     def __init__(self, key, limit=MESSAGE_BLOCK_LIMIT):
@@ -215,7 +217,7 @@ class MacStream:
         x0, y0, v0, w, s, t = self._pre
         (x, y, v), n = self._regs, self.total_blocks
         for value in values:
-            if n and n % SEGMENT_BLOCKS == 0:
+            if n and n % maa.SEGMENT_BLOCKS == 0:
                 x, y, v = main_loop(x0, y0, v0, w, coda(x, y, v, w, s, t))
             x, y, v = main_loop(x, y, v, w, value)
             n += 1

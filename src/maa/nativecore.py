@@ -199,8 +199,9 @@ def mac_values(j, k, values, limit=MESSAGE_BLOCK_LIMIT):
             seg.insert(0, z)
         seg += (s, t)  # the coda: two more blocks of the same fold
         # every segment restarts V at V0; a cycle's first pass costs more
-        # than a short segment's fold saves, so one that fits takes es
-        es = es or _e_words(v0, w, len(seg))
+        # than a short segment's fold saves, so one that fits takes es,
+        # sized for a later segment, which carries the chaining word too
+        es = es or _e_words(v0, w, len(seg) + (z is None))
         x, y = _fold(x0, y0, es if len(seg) <= len(es) else cycle(es), seg)
         z = x ^ y
     return z

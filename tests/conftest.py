@@ -16,6 +16,17 @@ def child_env():
 
 
 @pytest.fixture
+def segment_blocks(monkeypatch):
+    """segment_blocks(n) sets the package root's SEGMENT_BLOCKS, the one
+    segment length that both cores read when called, to n for this test."""
+    import maa
+
+    def install(n):
+        monkeypatch.setattr(maa, "SEGMENT_BLOCKS", n)
+    return install
+
+
+@pytest.fixture
 def spy(monkeypatch):
     """spy(owner, name) rebinds owner.name, for this test, to a wrapper
     that records each call's positional arguments as a tuple and calls

@@ -7,13 +7,15 @@ import random
 import re
 import subprocess
 import sys
+import zipfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from maa import cli, maacore, nativecore
-from maa.maacore import MESSAGE_BLOCK_LIMIT, MessageLimitError, SEGMENT_BLOCKS
+from maa import SEGMENT_BLOCKS, cli, maacore, nativecore
+from maa.maacore import MESSAGE_BLOCK_LIMIT, MessageLimitError
+from test_kat import CORPUS_SHA256
 
 KEY = "00FF00FF" "00000000"
 
@@ -371,16 +373,25 @@ def test_bench_exits_1_when_the_cores_disagree(capsys, monkeypatch):
     assert code == 1 and err == "cores disagree\n"
 
 
-def _cli_child(child_env, report, *argv):
-    """`python -m maa.cli *argv` in a child; finally, `report` to stderr."""
+def _cli_child(child_env, report, *argv, flags=()):
+    """`python *flags -m maa.cli *argv` in a child; finally, `report` to
+    stderr."""
     return subprocess.run(
-        [sys.executable, "-c", "import runpy, sys\ntry:\n    runpy.run_module("
+        [sys.executable, *flags, "-c",
+         "import runpy, sys\ntry:\n    runpy.run_module("
          "'maa.cli', run_name='__main__', alter_sys=True)\nfinally:\n"
          f"    print({report}, file=sys.stderr)\n", *argv],
         capture_output=True, text=True, env=child_env)
 
 
 _GATE_MODULES = {"maa.wordcore", "maa.maaops", "maa.maacore"}
+
+# no command loads these: dataclasses brings inspect, ast, dis, tokenize
+# and more that no line of maa uses (about 0.6 MiB of the selftest
+# child's peak RSS); importlib.resources brings pathlib and zipfile, which
+# the corpus loader does without; only bench uses random
+_NEVER = {"dataclasses", "inspect", "importlib.resources", "pathlib",
+          "zipfile", "random"}
 
 
 @pytest.mark.parametrize("argv, last_line, loads, skips", [
@@ -393,28 +404,50 @@ _GATE_MODULES = {"maa.wordcore", "maa.maaops", "maa.maacore"}
      _GATE_MODULES),
     (["selftest"], "selftest: 526/526 checks passed", {"maa.maacore"}, set()),
     (["selftest", "--core", "gate"], "selftest: 263/263 checks passed",
-     {"maa.maacore"}, set()),
+     {"maa.maacore"}, {"maa.nativecore"}),
     (["trace", "--key", KEY, "--hex", "55555555AAAAAAAA"], "MAC F14D6E28",
-     {"maa.maacore"}, set()),
+     {"maa.maacore"}, {"maa.nativecore"}),
     (["scenario", "{script}"], "scenario: 0 passed, 0 failed",
-     {"maa.maacore"}, set()),
+     {"maa.maacore"}, {"maa.nativecore"}),
 ], ids=["mac", "selftest-native", "selftest-long-native", "selftest",
         "selftest-gate", "trace", "scenario"])
 def test_each_command_loads_only_what_it_runs(argv, last_line, loads, skips,
                                               tmp_path, child_env):
-    # maa.cli runs as __main__, as under `python -m`.  No command loads
-    # dataclasses, which brings inspect, ast, dis, tokenize and more that
-    # no line of maa uses (about 0.6 MiB of the selftest child's peak
-    # RSS); mac and the native selftest load no gate module
+    # maa.cli runs as __main__, as under `python -m`, and under -S, so
+    # that no site .pth file loads a module first.  No core loads until a
+    # command runs it: mac and the native selftest load no gate module,
+    # and trace, scenario and the gate selftest no native one
     script = tmp_path / "one.scenario"
     script.write_text(f"key {KEY[:8]} {KEY[8:]}\n")
     proc = _cli_child(child_env, "*sorted(sys.modules)",
-                      *(arg.format(script=script) for arg in argv))
+                      *(arg.format(script=script) for arg in argv),
+                      flags=["-S"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == last_line
     loaded = set(proc.stderr.split())
     assert loads <= loaded
-    assert not loaded & (skips | {"dataclasses", "inspect"})
+    assert not loaded & (skips | _NEVER)
+
+
+def test_the_cli_reads_the_corpus_from_a_zip_import(tmp_path, child_env):
+    # kat reads vectors.txt through its own module's loader, which a zip
+    # archive on the path provides as a directory does
+    src = Path(cli.__file__).parent
+    archive = tmp_path / "maa.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in [*src.glob("*.py"), src / "vectors.txt"]:
+            zf.write(path, f"maa/{path.name}")
+    env = {**child_env, "PYTHONPATH": str(archive)}
+    where = "sys.modules['maa.kat'].__file__"
+    proc = _cli_child(env, where, "selftest", "--suite", "long", "--core",
+                      "native", flags=["-S"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest: 4/4 checks passed"
+    assert proc.stderr.strip() == str(archive / "maa" / "kat.py")
+    proc = _cli_child(env, where, "selftest", "--suite", "t1", "--json",
+                      flags=["-S"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["corpus_sha256"] == CORPUS_SHA256
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),

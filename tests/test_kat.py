@@ -9,6 +9,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import maa
 from maa import CORES, SEGMENT_BLOCKS, SUITES, kat, maacore, nativecore
 from maa.wordcore import add_block, mul_block
 from test_differential import WORDS
@@ -170,10 +171,11 @@ def test_a_gate_op_bound_on_maacore_reaches_every_record_kind(monkeypatch):
 def test_gate_corpus_catches_one_line_mutants(monkeypatch, name, mutant):
     # the corpus must not pass vacuously on the gate core either: each
     # mutant, bound on maacore, has to fail at least one check.  The
-    # segment length is maacore's, at which the stream restarts; the
-    # root's only cuts the segments.  main_loop reads TRUE_MASKS and its
-    # lane offset on each call, so such a mutant reaches every gate path
-    monkeypatch.setattr(maacore, name, mutant)
+    # segment length is the root's, which segments cuts by and at which
+    # the stream restarts.  main_loop reads TRUE_MASKS and its lane
+    # offset on each call, so such a mutant reaches every gate path
+    monkeypatch.setattr(maa if name == "SEGMENT_BLOCKS" else maacore, name,
+                        mutant)
     assert kat.run_suite("ALL", "gate").failed > 0
 
 

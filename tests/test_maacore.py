@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maa
-from maa import maacore, nativecore
+from maa import SEGMENT_BLOCKS, maacore, nativecore
 from maa.maacore import (
     EmptyMessageError, Key, MacStream, MessageLimitError,
-    SEGMENT_BLOCKS, TRUE_MASKS, coda, loop_trace, mac_blocks, mac_message,
+    TRUE_MASKS, coda, loop_trace, mac_blocks, mac_message,
     main_loop, message_blocks, power_chain, prelude,
 )
 from maa.maaops import byt, pat

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maa
-from maa import CORES, kat, maacore, nativecore
+from maa import CORES, SEGMENT_BLOCKS, kat, maacore, nativecore
 from maa.maacore import (
-    EmptyMessageError, Key, MessageLimitError, SEGMENT_BLOCKS, message_blocks,
+    EmptyMessageError, Key, MessageLimitError, message_blocks,
 )
 from maa.wordcore import Block
 from test_differential import EDGE_VALUES, _padded_words, _strided
@@ -24,14 +24,15 @@ CORE_MODULES = [kat.core_module(name) for name in CORES]
 
 
 def _traced_mac(j, k, values):
-    """mac_values rebuilt from loop_trace: each segment starts from the
-    prelude, absorbs the previous segment's MAC, then runs the coda."""
+    """mac_values rebuilt from loop_trace: each segment of the root's
+    SEGMENT_BLOCKS, as bound at call time, starts from the prelude, absorbs
+    the previous segment's MAC, then runs the coda."""
     x0, y0, v0, w, s, t = nativecore.prelude(j, k)
-    z = None
-    for i in range(0, len(values), SEGMENT_BLOCKS):
+    z, n = None, maa.SEGMENT_BLOCKS
+    for i in range(0, len(values), n):
         head = [] if z is None else [z]
         x, y, v = x0, y0, v0
-        for m in head + values[i:i + SEGMENT_BLOCKS] + [s, t]:
+        for m in head + values[i:i + n] + [s, t]:
             regs = nativecore.loop_trace(x, y, v, w, m, nativecore.TRUE_MASKS)
             x, y, v = regs["Xp"], regs["Yp"], regs["Vp"]
         z = x ^ y
@@ -48,6 +49,22 @@ def test_mac_values_matches_loop_trace_across_segments(length, j, k, data):
     values = [rng.choice(EDGE_VALUES) if rng.getrandbits(2) == 0
               else rng.getrandbits(32) for _ in range(n)]
     assert nativecore.mac_values(j, k, values) == _traced_mac(j, k, values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 29])
+def test_cores_agree_at_small_segment_lengths(n, segment_blocks):
+    # below 30 blocks a segment, the E words of a first segment do not
+    # cover a later one, which carries the chaining word too; messages of
+    # 1 to 3n + 2 blocks end in each of the first three segments
+    segment_blocks(n)
+    rng = random.Random(n)
+    for _ in range(100):
+        j, k = rng.getrandbits(32), rng.getrandbits(32)
+        length = rng.randint(1, 3 * n + 2)
+        values = [rng.getrandbits(32) for _ in range(length)]
+        want = _traced_mac(j, k, values)
+        assert nativecore.mac_values(j, k, values) == want, values
+        assert maacore.mac_values(j, k, values) == want, values
 
 
 def test_native_mac_returns_a_block():

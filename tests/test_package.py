@@ -14,8 +14,7 @@ PUBLIC = ["Block", "EmptyMessageError", "Key", "MESSAGE_BLOCK_LIMIT",
           "mac_message", "message_blocks", "run_suite", "words"]
 
 # The maa modules that importing each one loads.  Neither core loads the
-# other, and the command line loads only the native core until a command
-# asks for more.
+# other, and the command line loads no core until a command asks for one.
 LOADS = {
     "maa": {"maa"},
     "maa.wordcore": {"maa", "maa.wordcore"},
@@ -23,7 +22,7 @@ LOADS = {
     "maa.maacore": {"maa", "maa.wordcore", "maa.maaops", "maa.maacore"},
     "maa.nativecore": {"maa", "maa.nativecore"},
     "maa.kat": {"maa", "maa.kat"},
-    "maa.cli": {"maa", "maa.nativecore", "maa.cli"},
+    "maa.cli": {"maa", "maa.cli"},
 }
 
 
@@ -39,7 +38,8 @@ def test_each_module_imports_on_its_own(module, child_env):
 
 def test_public_names_resolve_to_their_modules():
     assert maa.__all__ == PUBLIC
-    homes = {"Block": [wordcore], "run_suite": [kat], "words": [maa]}
+    homes = {"Block": [wordcore], "run_suite": [kat], "words": [maa],
+             "SEGMENT_BLOCKS": [maa]}
     for name in PUBLIC:
         for module in homes.get(name, [maacore]):
             assert getattr(maa, name) is getattr(module, name), name

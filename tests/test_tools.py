@@ -88,7 +88,8 @@ def test_bench_pairs_refuses_an_empty_seed_range(tmp_path):
 def _stub_checkout(root, cli_exit=0):
     """A checkout whose run.py reports one metric and the bytecode setting
     it saw, and whose `maa.cli` exits with cli_exit; where CLI_LOG names a
-    file, it appends its checkout, argv, PYTHONPATH and input size."""
+    file, it appends its checkout, argv, PYTHONPATH, input size and
+    whether it runs without the site module (-S)."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
         "import json, os\n"
@@ -106,7 +107,7 @@ def _stub_checkout(root, cli_exit=0):
         "else None\n"
         "    with open(os.environ['CLI_LOG'], 'a') as f:\n"
         f"        print(json.dumps([{root.name!r}, sys.argv[1:], "
-        "os.environ['PYTHONPATH'], size]), file=f)\n"
+        "os.environ['PYTHONPATH'], size, sys.flags.no_site]), file=f)\n"
         f"sys.exit({cli_exit})\n")
     return root
 
@@ -149,16 +150,19 @@ def test_bench_pairs_times_raw_cli_children_on_each_side(
     calls = [json.loads(line) for line in log.read_text().splitlines()]
     order = ["parent", "change", "change", "parent", "parent", "change",
              "change", "parent"]
-    assert [side for side, *_ in calls] == order + order
-    assert [argv[0] for _, argv, _, _ in calls] == ["selftest"] * 8 + \
-        ["mac"] * 8
+    assert [side for side, *_ in calls] == order * 3
+    assert [argv[0] for _, argv, *_ in calls] == ["selftest"] * 8 + \
+        ["mac"] * 8 + ["selftest"] * 8
+    # only the third command starts without the site module
+    assert [no_site for *_, no_site in calls] == [0] * 16 + [1] * 8
     assert calls[0][1] == ["selftest", "--core", "both"]
-    assert calls[-1][1][:2] == ["mac", "--key"]
-    assert calls[-1][1][3] == "--input" and calls[-1][3] == 2048
-    for side, _, path, _ in calls:
+    assert calls[15][1][:2] == ["mac", "--key"]
+    assert calls[15][1][3] == "--input" and calls[15][3] == 2048
+    assert calls[-1][1] == ["selftest", "--core", "native"]
+    for side, _, path, *_ in calls:
         assert path.split(os.pathsep)[0] == str(sides[side] / "src")
     raw = json.loads(out.read_text())["raw_children"]
-    assert set(raw) == {"selftest", "mac"}
+    assert set(raw) == {"selftest", "mac", "selftest_no_site"}
     for times in raw.values():
         assert times["change_faster_pairs"].endswith("/3")
         for side in sides:
@@ -178,8 +182,8 @@ def test_bench_pairs_fails_when_a_cli_child_fails(tmp_path, monkeypatch):
     out = tmp_path / "out.json"
     assert bench.main([str(parent), str(change), "--out", str(out),
                        "--pairs", "bulk:1"]) == 1
-    assert set(json.loads(out.read_text())["raw_children"]) == {"selftest",
-                                                                "mac"}
+    assert set(json.loads(out.read_text())["raw_children"]) == {
+        "selftest", "mac", "selftest_no_site"}
 
 
 def test_bench_pairs_counts_a_cut_json_line_as_a_failed_run(

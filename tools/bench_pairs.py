@@ -27,12 +27,14 @@ mid-line, counts as failed and reports no metric.  A metric that no
 pair reports, as when every run of one side failed, has all of these
 null but its bound.
 
-After the pairs, `raw_children` times the two CLI commands that
-run.py's `cli_mac_s` and `selftest_s` time, in fresh children with the
-side's `src` first on PYTHONPATH: `python -m maa.cli selftest --core
-both`, and `python -m maa.cli mac --key ... --input` on a seeded 2 KiB
-file.  Per command, each side runs one uncounted warm-up child, then
-RAW_CHILDREN children alternate between the sides.  Their wall times
+After the pairs, `raw_children` times three CLI commands in fresh
+children with the side's `src` first on PYTHONPATH: the two that run.py's
+`cli_mac_s` and `selftest_s` time, `python -m maa.cli selftest --core
+both` and `python -m maa.cli mac --key ... --input` on a seeded 2 KiB
+file, and `python -S -m maa.cli selftest --core native`, a start with no
+site module, which shows what the package itself loads.  Per command,
+each side runs one uncounted warm-up child, then RAW_CHILDREN children
+alternate between the sides.  Their wall times
 are raw, with no speed factor: each side's median, quartiles and
 times, and how many of the alternating pairs the change won.  The exit
 code is 1 when any run failed or any child exited non-zero.
@@ -53,6 +55,8 @@ from pathlib import Path
 
 # fresh CLI children per side and command, after one uncounted warm-up
 RAW_CHILDREN = 21
+
+CLI = ["-m", "maa.cli"]
 
 
 def seed_range(text):
@@ -119,13 +123,14 @@ def compare(metric, parent, change):
 
 
 def cli_child(root, args):
-    """(wall seconds, exit code) of `python -m maa.cli *args` run in root,
-    with root's src first on PYTHONPATH."""
+    """(wall seconds, exit code) of `python *args` run in root, with root's
+    src first on PYTHONPATH; args are interpreter flags, then `-m maa.cli`
+    and the command."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "maa.cli", *args],
+    proc = subprocess.run([sys.executable, *args],
                           cwd=root, env=env, capture_output=True)
     return time.perf_counter() - t0, proc.returncode
 
@@ -184,9 +189,11 @@ def main(argv=None):
         message = Path(tmp) / "message.bin"
         message.write_bytes(random.Random(2048).randbytes(2048))
         raw, raw_ok = raw_children(sides, {
-            "selftest": ["selftest", "--core", "both"],
-            "mac": ["mac", "--key", "00FF00FF00000000", "--input",
-                    str(message)]})
+            "selftest": [*CLI, "selftest", "--core", "both"],
+            "mac": [*CLI, "mac", "--key", "00FF00FF00000000", "--input",
+                    str(message)],
+            "selftest_no_site": ["-S", *CLI, "selftest", "--core",
+                                 "native"]})
 
     report = {
         "python": platform.python_version(),
