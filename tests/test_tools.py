@@ -117,7 +117,7 @@ def _stub_checkout(root, cli_exit=0):
 def test_bench_pairs_records_the_bytecode_cache_setting(
         tmp_path, monkeypatch, setting, recorded):
     bench = _bench_pairs()
-    monkeypatch.setattr(bench, "RAW_CHILDREN", 2)
+    monkeypatch.setattr(bench, "raw_children", lambda *_: ({}, True))
     _stub_checkout(tmp_path)
     if setting is None:
         monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
@@ -191,7 +191,7 @@ def test_bench_pairs_counts_a_cut_json_line_as_a_failed_run(
     # a child killed mid-print leaves a last line that starts with "{" but
     # is not JSON: that run failed, and the report is still written
     bench = _bench_pairs()
-    monkeypatch.setattr(bench, "RAW_CHILDREN", 2)
+    monkeypatch.setattr(bench, "raw_children", lambda *_: ({}, True))
     parent = _stub_checkout(tmp_path / "parent")
     change = _stub_checkout(tmp_path / "change")
     (change / "perfbench" / "run.py").write_text(
